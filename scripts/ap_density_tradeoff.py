@@ -15,11 +15,10 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
+from cfwpt.cli import build_drop
 from cfwpt.config import ScenarioConfig, with_overrides
-from cfwpt.estimation import build_cache
-from cfwpt.geometry import PropagationModel, draw_link_statistics, place_network
+from cfwpt.geometry import PropagationModel
 from cfwpt.maxmin import solve_maxmin
-from cfwpt.wit import lsfd_statistics
 
 
 def sweep_arm(cfg, prop, setups, seed, eps):
@@ -27,10 +26,7 @@ def sweep_arm(cfg, prop, setups, seed, eps):
     solved = 0
     for i in range(setups):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        geom = place_network(cfg, rng)
-        stats = draw_link_statistics(geom, prop, cfg, rng)
-        cache = build_cache(stats, stats.plan, cfg)
-        se = lsfd_statistics(cache, stats, stats.plan, cfg)
+        stats, cache, se = build_drop(cfg, prop, rng)
         res = solve_maxmin(stats, cache, se, cfg, eps=eps)
         solved += res.status == "solved"
         mins.append(float(res.per_ue_se.min()))

@@ -1,81 +1,4 @@
 """Wireless-powered cell-free massive MIMO uplink: simulation and
 max-min fair power control with large-scale fading decoding."""
 
-from .config import ConfigError, ScenarioConfig, dbm_to_watt, load_config, with_overrides
-from .geometry import (
-    ChannelStatistics,
-    NetworkGeometry,
-    PropagationModel,
-    draw_link_statistics,
-    place_network,
-)
-from .estimation import EstimationCache, PilotPlan, assign_pilots, build_cache, lmmse_estimate
-from .channel import ChannelRealization, sample_pilot_observation, sample_realization
-from .wpt import (
-    EnergyReport,
-    PowerAllocation,
-    ap_transmit_powers,
-    energy_report,
-    harvested_energy,
-    harvested_energy_coefficients,
-    harvested_energy_oracle,
-)
-from .wit import SEStatistics, lsfd_statistics, se_statistics_oracle, sinr, spectral_efficiency
-from .lp import LPProblem, SimplexIterationError, lp_feasible
-from .maxmin import (
-    MaxMinResult,
-    build_feasibility_lp,
-    fpc_baseline,
-    optimal_lsfd,
-    solve_maxmin,
-    upper_bound_tmax,
-)
-from .linalg import NotPositiveDefiniteError, hermitian_inverse, hermitian_solve, trace_product
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ChannelRealization",
-    "ChannelStatistics",
-    "ConfigError",
-    "EnergyReport",
-    "EstimationCache",
-    "LPProblem",
-    "MaxMinResult",
-    "NetworkGeometry",
-    "NotPositiveDefiniteError",
-    "PilotPlan",
-    "PowerAllocation",
-    "PropagationModel",
-    "SEStatistics",
-    "ScenarioConfig",
-    "SimplexIterationError",
-    "ap_transmit_powers",
-    "assign_pilots",
-    "build_cache",
-    "build_feasibility_lp",
-    "dbm_to_watt",
-    "draw_link_statistics",
-    "energy_report",
-    "fpc_baseline",
-    "harvested_energy",
-    "harvested_energy_coefficients",
-    "harvested_energy_oracle",
-    "hermitian_inverse",
-    "hermitian_solve",
-    "lmmse_estimate",
-    "load_config",
-    "lp_feasible",
-    "lsfd_statistics",
-    "optimal_lsfd",
-    "place_network",
-    "sample_pilot_observation",
-    "sample_realization",
-    "se_statistics_oracle",
-    "sinr",
-    "solve_maxmin",
-    "spectral_efficiency",
-    "trace_product",
-    "upper_bound_tmax",
-    "with_overrides",
-]

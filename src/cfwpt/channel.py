@@ -54,8 +54,6 @@ def sample_pilot_observation(real, stats, cfg, rng):
     over their group plus one shared noise draw per (pilot, AP) pair.
     """
     plan = stats.plan
-    if plan is None:
-        raise ValueError("channel statistics carry no pilot plan")
     g = real.g
     batch = g.shape[:-3]
     K, L, N = g.shape[-3:]

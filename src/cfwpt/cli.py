@@ -30,7 +30,7 @@ from .estimation import build_cache
 from .geometry import PropagationModel, draw_link_statistics, place_network
 from .maxmin import fpc_baseline, solve_maxmin
 from .wit import lsfd_statistics, se_statistics_oracle
-from .wpt import harvested_energy, harvested_energy_oracle
+from .wpt import harvested_energy, harvested_energy_coefficients, harvested_energy_oracle
 
 MAX_VALIDATE_SIZE = 1024      # cap on L*N*K so the oracles stay quick
 
@@ -45,13 +45,22 @@ def _setup_rng(seed, index):
     return np.random.default_rng(ss), token
 
 
+def build_drop(cfg, prop, rng):
+    """Draw one random network and its closed-form statistics.
+
+    Returns (stats, cache, se): link statistics, estimation cache and
+    LSFD statistics, drawn from rng in the same order by every caller.
+    """
+    geom = place_network(cfg, rng)
+    stats = draw_link_statistics(geom, prop, cfg, rng)
+    cache = build_cache(stats, cfg)
+    return stats, cache, lsfd_statistics(cache, stats, cfg)
+
+
 def _run_setup(task):
     cfg, prop, seed, index = task
     rng, token = _setup_rng(seed, index)
-    geom = place_network(cfg, rng)
-    stats = draw_link_statistics(geom, prop, cfg, rng)
-    cache = build_cache(stats, stats.plan, cfg)
-    se = lsfd_statistics(cache, stats, stats.plan, cfg)
+    stats, cache, se = build_drop(cfg, prop, rng)
     mmf = solve_maxmin(stats, cache, se, cfg)
     fpc = fpc_baseline(stats, cache, se, cfg)
     return {
@@ -126,28 +135,24 @@ def run_validate(cfg, prop, mc_samples, seed, corrupt=False, out=None):
     """
     out = sys.stdout if out is None else out
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
-    geom = place_network(cfg, rng)
-    stats = draw_link_statistics(geom, prop, cfg, rng)
-    plan = stats.plan
-    cache = build_cache(stats, plan, cfg)
+    stats, cache, se = build_drop(cfg, prop, rng)
     K, L = cache.tr_rhat.shape
 
     # Every AP splits its budget evenly over the UE-directed beams.
     p = cfg.rho_d / (K * cache.tr_rhat)
 
     checks = []
-    closed_e = np.array([harvested_energy(k, p, cache, stats, plan, cfg)
-                         for k in range(K)])
+    coef = harvested_energy_coefficients(se, cfg)
+    closed_e = np.array([harvested_energy(k, p, coef) for k in range(K)])
     if corrupt:
         closed_e = closed_e * 1.05
-    est = np.array([harvested_energy_oracle(k, p, cache, stats, plan, cfg,
+    est = np.array([harvested_energy_oracle(k, p, cache, stats, cfg,
                                             mc_samples, rng)
                     for k in range(K)])
     checks.append(("harvested_energy",
                    _z_scores(closed_e, est[:, 0], est[:, 1])))
 
-    se = lsfd_statistics(cache, stats, plan, cfg)
-    oracle = se_statistics_oracle(cache, stats, plan, cfg, mc_samples, rng)
+    oracle = se_statistics_oracle(cache, stats, cfg, mc_samples, rng)
     checks.append(("b", _z_scores(se.b, oracle.b, oracle.b_se)))
     checks.append(("C", _z_scores(se.C, oracle.C, oracle.C_se)))
     checks.append(("D", _z_scores(se.D, oracle.D, oracle.D_se)))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 
@@ -30,7 +31,6 @@ class ScenarioConfig:
     area_side: float = 100.0     # m
     height_diff: float = 4.0     # m between AP and UE planes
     carrier_freq: float = 3.4    # GHz
-    bandwidth: float = 20e6      # Hz
     tau_c: int = 200             # coherence block length, samples
     tau_p: int = 5               # pilot phase
     tau_d: int = 25              # downlink energy phase
@@ -52,12 +52,15 @@ class ScenarioConfig:
             )
         if min(self.L, self.K, self.N, self.tau_p, self.tau_d, self.tau_u) < 1:
             raise ConfigError("L, K, N and all tau's must be >= 1")
-        if min(self.rho_p, self.rho_d, self.sigma2) <= 0.0:
-            raise ConfigError("rho_p, rho_d and sigma2 must be positive")
+        for name in ("rho_p", "rho_d", "sigma2", "carrier_freq", "area_side"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigError(f"{name} = {value} must be finite and > 0")
+        if not (math.isfinite(self.height_diff) and self.height_diff >= 0.0):
+            raise ConfigError(
+                f"height_diff = {self.height_diff} must be finite and >= 0")
         if not 0.0 <= self.mu <= 1.0:
             raise ConfigError(f"mu = {self.mu} outside [0, 1]")
-        if self.area_side <= 0.0 or self.height_diff < 0.0:
-            raise ConfigError("bad geometry dimensions")
         if self.ap_placement not in ("grid", "random"):
             raise ConfigError(f"unknown ap_placement {self.ap_placement!r}")
         if self.mc_samples < 1 or self.seed < 0:
@@ -66,7 +69,7 @@ class ScenarioConfig:
 
 _INT_KEYS = {"L", "K", "N", "tau_c", "tau_p", "tau_d", "tau_u", "seed", "mc_samples"}
 _FLOAT_KEYS = {
-    "area_side", "height_diff", "carrier_freq", "bandwidth",
+    "area_side", "height_diff", "carrier_freq",
     "rho_p", "rho_d", "sigma2", "mu",
 }
 _STR_KEYS = {"ap_placement"}
@@ -120,10 +123,7 @@ def load_config(path):
             elif key in _DBM_KEYS:
                 cfg_kwargs[_DBM_KEYS[key]] = dbm_to_watt(float(value))
             elif key in _PROP_TRIPLE_KEYS:
-                triple = tuple(float(part) for part in value.split(","))
-                if len(triple) != 3:
-                    raise ValueError("need three comma-separated coefficients")
-                prop_kwargs[key] = triple
+                prop_kwargs[key] = tuple(float(part) for part in value.split(","))
             elif key in _PROP_FLOAT_KEYS:
                 prop_kwargs[key] = float(value)
             else:

@@ -1,4 +1,4 @@
-"""Pilot assignment and phase-unaware LMMSE channel estimation.
+"""Phase-unaware LMMSE channel estimation.
 
 Because the per-block LOS phase is unknown at the APs, the estimator is
 the best *linear* one built from second-order statistics only: the link
@@ -17,83 +17,51 @@ from .linalg import hermitian_inverse
 
 
 @dataclass(frozen=True)
-class PilotPlan:
-    """Round-robin pilot assignment: UE k uses pilot k mod tau_p."""
-
-    pilot_of: np.ndarray                 # (K,) int in [0, tau_p)
-    groups: tuple                        # groups[k] = sorted tuple P_k, k in P_k
-
-    def copilots(self, k):
-        return self.groups[k]
-
-    def share_pilot(self, k, i):
-        return self.pilot_of[k] == self.pilot_of[i]
-
-
-def assign_pilots(cfg):
-    pilot_of = np.arange(cfg.K) % cfg.tau_p
-    groups = tuple(
-        tuple(np.flatnonzero(pilot_of == pilot_of[k]).tolist())
-        for k in range(cfg.K)
-    )
-    return PilotPlan(pilot_of=pilot_of, groups=groups)
-
-
-@dataclass(frozen=True)
 class EstimationCache:
     """Per-link matrices derived from the channel statistics.
 
-    All arrays are indexed [k, l, ...].  Psi is shared exactly between
-    co-pilot users (same despread statistic, hence same covariance).
-    psi_inv_r = Psi^-1 @ R shows up in every closed-form moment, so it
-    is cached once; R @ Psi^-1 is its conjugate transpose.
+    All arrays are indexed [k, l, ...].  psi_inv_r = Psi^-1 @ R, with
+    Psi the despread-observation covariance shared by co-pilot users,
+    shows up in every closed-form moment, so it is cached once;
+    R @ Psi^-1 is its conjugate transpose.
     """
 
     R: np.ndarray          # (K, L, N, N) channel covariance
-    Psi: np.ndarray        # (K, L, N, N) despread-observation covariance
-    Psi_inv: np.ndarray    # (K, L, N, N)
     Rhat: np.ndarray       # (K, L, N, N) estimate covariance
-    C: np.ndarray          # (K, L, N, N) error covariance, R - Rhat
     tr_rhat: np.ndarray    # (K, L) real
     psi_inv_r: np.ndarray  # (K, L, N, N)
 
 
-def build_cache(stats, plan, cfg):
-    """Build covariance, observation and estimator matrices per link.
+def build_cache(stats, cfg):
+    """Build covariance and estimator matrices per link.
 
     R = gbar gbar^H + beta I;  Psi = rho_p tau_p * sum of co-pilot R's
-    plus sigma^2 I;  Rhat = rho_p tau_p R Psi^-1 R;  C = R - Rhat.
+    plus sigma^2 I;  Rhat = rho_p tau_p R Psi^-1 R.
     """
     K, L, N = stats.gbar.shape
+    pilot_of = stats.plan.pilot_of
     rho_tau = cfg.rho_p * cfg.tau_p
     eye = np.eye(N, dtype=complex)
 
     R = (stats.gbar[:, :, :, None] * stats.gbar[:, :, None, :].conj()
          + stats.beta[:, :, None, None] * eye)
 
-    # One Psi per (pilot, AP); index back per UE so co-pilot users share
-    # bit-identical matrices.
-    psi_by_pilot = np.empty((cfg.tau_p, L, N, N), dtype=complex)
+    # One Psi^-1 per (pilot, AP); index back per UE so co-pilot users
+    # share bit-identical matrices.
+    psi_inv_by_pilot = np.empty((cfg.tau_p, L, N, N), dtype=complex)
     for t in range(cfg.tau_p):
-        members = np.flatnonzero(plan.pilot_of == t)
+        members = np.flatnonzero(pilot_of == t)
         contrib = R[members].sum(axis=0) if members.size else np.zeros((L, N, N), complex)
-        psi_by_pilot[t] = rho_tau * contrib + cfg.sigma2 * eye
-    Psi = psi_by_pilot[plan.pilot_of]
-
-    psi_inv_by_pilot = np.empty_like(psi_by_pilot)
-    for t in range(cfg.tau_p):
+        psi = rho_tau * contrib + cfg.sigma2 * eye
         for l in range(L):
-            psi_inv_by_pilot[t, l] = hermitian_inverse(psi_by_pilot[t, l])
-    Psi_inv = psi_inv_by_pilot[plan.pilot_of]
+            psi_inv_by_pilot[t, l] = hermitian_inverse(psi[l])
 
-    psi_inv_r = np.einsum("klab,klbc->klac", Psi_inv, R)
+    psi_inv_r = np.einsum("klab,klbc->klac", psi_inv_by_pilot[pilot_of], R)
     Rhat = rho_tau * np.einsum("klab,klbc->klac", R, psi_inv_r)
     Rhat = 0.5 * (Rhat + Rhat.conj().swapaxes(-1, -2))
-    C = R - Rhat
     tr_rhat = np.einsum("klaa->kl", Rhat).real
 
-    return EstimationCache(R=R, Psi=Psi, Psi_inv=Psi_inv, Rhat=Rhat, C=C,
-                           tr_rhat=tr_rhat, psi_inv_r=psi_inv_r)
+    return EstimationCache(R=R, Rhat=Rhat, tr_rhat=tr_rhat, psi_inv_r=psi_inv_r)
 
 
 def lmmse_estimate(z, cache, cfg):

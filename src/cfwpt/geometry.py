@@ -1,8 +1,9 @@
-"""Network layout and long-term propagation statistics.
+"""Network layout, pilot assignment and long-term propagation statistics.
 
 Produces, per AP-UE link, the quantities every later stage consumes:
 the per-antenna scattered-power coefficient beta_kl and the
-phase-stripped line-of-sight response vector gbar_kl.
+phase-stripped line-of-sight response vector gbar_kl, together with
+the pilot each UE sends.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .estimation import assign_pilots
+from .config import ConfigError
 
 # Floor on the scattered-power coefficient; keeps the per-link
 # covariance comfortably positive definite under freak shadowing draws.
@@ -50,6 +51,17 @@ class PropagationModel:
     los_probability: Callable[[float], float] = inh_los_probability
     rician_factor: Callable[[float], float] = inh_rician_factor
 
+    def __post_init__(self):
+        for name in ("pathloss_los", "pathloss_nlos"):
+            triple = getattr(self, name)
+            if len(triple) != 3 or not all(math.isfinite(v) for v in triple):
+                raise ConfigError(
+                    f"{name} needs three finite coefficients, got {triple!r}")
+        for name in ("shadow_std_los", "shadow_std_nlos"):
+            std = getattr(self, name)
+            if not (math.isfinite(std) and std >= 0.0):
+                raise ConfigError(f"{name} = {std} must be finite and >= 0")
+
     def pathloss_db(self, d, carrier_freq, los):
         a, b, c = self.pathloss_los if los else self.pathloss_nlos
         return a * math.log10(d) + b + c * math.log10(carrier_freq)
@@ -60,6 +72,17 @@ class NetworkGeometry:
     ap_positions: np.ndarray   # (L, 2) in meters
     ue_positions: np.ndarray   # (K, 2)
     height_diff: float         # m, common to all links
+
+
+@dataclass(frozen=True)
+class PilotPlan:
+    """Round-robin pilot assignment: UE k uses pilot k mod tau_p."""
+
+    pilot_of: np.ndarray   # (K,) int in [0, tau_p)
+
+
+def assign_pilots(cfg):
+    return PilotPlan(pilot_of=np.arange(cfg.K) % cfg.tau_p)
 
 
 @dataclass(frozen=True)
@@ -77,7 +100,7 @@ class ChannelStatistics:
     gbar: np.ndarray        # (K, L, N) complex
     beta_tot: np.ndarray    # (K, L) total gain per antenna
     los: np.ndarray         # (K, L) bool
-    plan: object = None     # estimation.PilotPlan
+    plan: PilotPlan
 
 
 def place_network(cfg, rng):

@@ -51,11 +51,3 @@ def hermitian_inverse(a):
     # stay real to round-off.
     return 0.5 * (inv + inv.conj().T)
 
-
-def trace_product(a, b):
-    """tr(a @ b) computed without forming the product."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0] or b.shape[1] != a.shape[0]:
-        raise ValueError(f"shapes {a.shape} and {b.shape} have no square product")
-    return complex(np.einsum("ij,ji->", a, b))

@@ -18,7 +18,10 @@ import numpy as np
 from .linalg import hermitian_solve
 from .lp import LPProblem, lp_feasible
 from .wit import sinr, spectral_efficiency
-from .wpt import PowerAllocation, harvested_energy, harvested_energy_coefficients
+from .wpt import PowerAllocation, harvested_energy
+# The energy table, also bound under its maxmin name, which perfbench's
+# per-layer timing traces.
+from .wpt import harvested_energy_coefficients as energy_coefficient_table
 
 
 @dataclass(frozen=True)
@@ -55,25 +58,15 @@ def _empty_result(K, L, trace, status):
     )
 
 
-def energy_coefficient_table(cache, stats, plan, cfg):
-    """(K, K, L) array: entry [k, i, l] is dE_k / dp_il."""
-    K = cache.tr_rhat.shape[0]
-    return np.stack([
-        harvested_energy_coefficients(k, cache, stats, plan, cfg)
-        for k in range(K)
-    ])
-
-
-def build_feasibility_lp(t, a, se, cache, stats, cfg, energy_coef=None):
+def build_feasibility_lp(t, a, se, cache, energy_coef, cfg):
     """Inequality system whose feasibility means min-SINR t is reachable.
 
     Rows: per UE k, the SINR target linearized in eta (weights fixed);
     per AP l, the radiated-power budget; per UE k, harvested energy
-    covering pilot plus uplink spending.
+    covering pilot plus uplink spending.  energy_coef is the (K, K, L)
+    table from energy_coefficient_table.
     """
     K, L = cache.tr_rhat.shape
-    if energy_coef is None:
-        energy_coef = energy_coefficient_table(cache, stats, stats.plan, cfg)
     n = K * L + K
     A = np.zeros((2 * K + L, n))
     rhs = np.zeros(2 * K + L)
@@ -122,12 +115,12 @@ def upper_bound_tmax(se, cache, stats, cfg):
     under this most generous allocation.
     """
     K, L = cache.tr_rhat.shape
-    plan = stats.plan
+    coef = energy_coefficient_table(se, cfg)
     worst = np.inf
     for k in range(K):
         p = np.zeros((K, L))
         p[k] = cfg.rho_d / cache.tr_rhat[k]
-        energy = harvested_energy(k, p, cache, stats, plan, cfg)
+        energy = harvested_energy(k, p, coef)
         eta = np.zeros(K)
         eta[k] = max(0.0, (energy - cfg.tau_p * cfg.rho_p) / cfg.tau_u)
         a = optimal_lsfd(eta, se)
@@ -157,7 +150,7 @@ def solve_maxmin(stats, cache, se, cfg, eps=1e-2, max_iters=200):
     Stops once the bracket is narrower than eps or the guard trips.
     """
     K, L = cache.tr_rhat.shape
-    coef = energy_coefficient_table(cache, stats, stats.plan, cfg)
+    coef = energy_coefficient_table(se, cfg)
     a = np.ones((K, L), dtype=complex)
     trace = []
 
@@ -175,8 +168,7 @@ def solve_maxmin(stats, cache, se, cfg, eps=1e-2, max_iters=200):
             break
         iters += 1
         t = 0.5 * (t_min + t_max)
-        x = lp_feasible(build_feasibility_lp(t, a, se, cache, stats, cfg,
-                                             energy_coef=coef))
+        x = lp_feasible(build_feasibility_lp(t, a, se, cache, coef, cfg))
         if x is None:
             trace.append((t, False, None))
             t_max = t
@@ -195,8 +187,7 @@ def solve_maxmin(stats, cache, se, cfg, eps=1e-2, max_iters=200):
     if best is None:
         # Bracket collapsed without one certified point; a plain
         # feasibility check at t = 0 settles solvability.
-        x = lp_feasible(build_feasibility_lp(0.0, a, se, cache, stats, cfg,
-                                             energy_coef=coef))
+        x = lp_feasible(build_feasibility_lp(0.0, a, se, cache, coef, cfg))
         if x is None:
             trace.append((0.0, False, None))
             return _empty_result(K, L, trace, "infeasible_at_zero")
@@ -223,10 +214,9 @@ def fpc_baseline(stats, cache, se, cfg):
     each UE spends whatever energy it harvests beyond the pilot cost.
     """
     K, L = cache.tr_rhat.shape
-    plan = stats.plan
     root = np.sqrt(cache.tr_rhat)
     p = (cfg.rho_d / root.sum(axis=0))[None, :] / root
-    coef = energy_coefficient_table(cache, stats, plan, cfg)
+    coef = energy_coefficient_table(se, cfg)
     energy = np.einsum("kil,il->k", coef, p)
     eta = np.maximum(0.0, (energy - cfg.tau_p * cfg.rho_p) / cfg.tau_u)
     a = optimal_lsfd(eta, se)

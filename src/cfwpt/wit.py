@@ -35,7 +35,7 @@ class SEStatistics:
     D: np.ndarray   # (K, L) real
 
 
-def lsfd_statistics(cache, stats, plan, cfg):
+def lsfd_statistics(cache, stats, cfg):
     """Closed-form b, C, D from the estimation cache."""
     K, L, N = stats.gbar.shape
     rho_tau = cfg.rho_p * cfg.tau_p
@@ -52,7 +52,8 @@ def lsfd_statistics(cache, stats, plan, cfg):
     # Same-AP products E{ghat_kl^H g_ml g_ml^H ghat_kl} for all pairs.
     tr_rhat_r = np.einsum("klab,mlba->kml", cache.Rhat, cache.R).real
 
-    copilot = plan.pilot_of[:, None] == plan.pilot_of[None, :]
+    pilot_of = stats.plan.pilot_of
+    copilot = pilot_of[:, None] == pilot_of[None, :]
     mask = copilot.astype(float)
 
     # Cross-AP correlation survives only through the shared pilot: the
@@ -61,9 +62,11 @@ def lsfd_statistics(cache, stats, plan, cfg):
     C = (rho_tau ** 2) * (u[:, :, :, None] * u[:, :, None, :].conj()) \
         * mask[:, :, None, None]
 
+    # Same-AP second moments E|ghat_kl^H g_ml|^2; scaled by mu tau_d
+    # they are the harvested-energy coefficients (wpt reads them here).
     diag = tr_rhat_r + (rho_tau ** 2) * mask[:, :, None] * (
         2.0 * beta[None, :, :] * tr_m[:, None, :] * quad.real
-        + (beta[None, :, :] * tr_m[:, None, :]) ** 2
+        + beta[None, :, :] ** 2 * tr_m[:, None, :] ** 2
     )
     idx = np.arange(L)
     C[:, :, idx, idx] = diag
@@ -105,7 +108,7 @@ class SEOracleEstimates:
     D_se: np.ndarray   # (K, L) real
 
 
-def se_statistics_oracle(cache, stats, plan, cfg, mc_samples, rng,
+def se_statistics_oracle(cache, stats, cfg, mc_samples, rng,
                          batch=10_000):
     """Monte Carlo estimate of b, C, D from their defining moments.
 

@@ -3,9 +3,11 @@
 Each AP beamforms independent energy symbols with the conjugated
 channel estimates (no inter-AP phase synchronization), so the average
 energy harvested by a UE is a linear function of the power coefficients
-p_il.  The closed form has a matched-filter part, tr(Rhat_il R_kl), and
-pilot-contamination cross terms that only co-pilot users contribute.
-Energy is accounted in W*samples; only energy ratios matter downstream.
+p_il.  Its gradient dE_k/dp_il = mu tau_d E|ghat_il^H g_kl|^2 is the
+same second moment as the diagonal C[i, k, l, l] of the decoding
+statistics, so it is read off wit.lsfd_statistics rather than derived
+again.  Energy is accounted in W*samples; only energy ratios matter
+downstream.
 """
 
 from __future__ import annotations
@@ -26,72 +28,33 @@ class PowerAllocation:
     eta: np.ndarray   # (K,) uplink powers, >= 0
 
 
-@dataclass(frozen=True)
-class EnergyReport:
-    ap_power: np.ndarray   # (L,) average transmit power, W
-    harvested: np.ndarray  # (K,) average harvested energy, W*samples
-
-
-def ap_transmit_power(p, cache, l):
-    """Average transmit power of AP l: sum_k p_kl tr(Rhat_kl)."""
-    return float(np.asarray(p)[:, l] @ cache.tr_rhat[:, l])
-
-
 def ap_transmit_powers(p, cache):
-    """All L AP powers at once."""
+    """Average transmit power of every AP: sum_k p_kl tr(Rhat_kl)."""
     return np.einsum("kl,kl->l", np.asarray(p, dtype=float), cache.tr_rhat)
 
 
-def _energy_coefficient_terms(k, cache, stats, plan, cfg):
-    """The three non-negative pieces of dE_k/dp_il, each shaped (K, L).
+def harvested_energy_coefficients(se, cfg):
+    """(K, K, L) table: entry [k, i, l] is dE_k / dp_il.
 
-    base:   matched-filter energy tr(Rhat_il R_kl), all transmitters.
-    cross:  2 beta_kl Re{gbar_kl^H Psi_il^-1 R_il gbar_kl} tr(Psi_il^-1 R_il),
-            co-pilot transmitters only (their beams align with UE k's
-            pilot direction).
-    square: beta_kl^2 tr(Psi_il^-1 R_il)^2, co-pilot only.
-
-    The mu tau_d and (rho_p tau_p)^2 prefactors are applied by the caller.
+    E_k is linear in the power coefficients, so row k both evaluates
+    the closed form (as a dot product with p) and supplies the energy
+    constraint of UE k in the max-min LP.
     """
-    base = np.einsum("ilab,lba->il", cache.Rhat, cache.R[k]).real
-
-    tr_m = np.einsum("ilaa->il", cache.psi_inv_r).real
-    quad = np.einsum("la,ilab,lb->il",
-                     stats.gbar[k].conj(), cache.psi_inv_r, stats.gbar[k])
-    copilot = np.asarray(plan.pilot_of == plan.pilot_of[k], dtype=float)[:, None]
-
-    cross = 2.0 * stats.beta[k][None, :] * tr_m * quad.real * copilot
-    square = (stats.beta[k][None, :] ** 2) * tr_m ** 2 * copilot
-    return base, cross, square
+    second = np.einsum("ikll->kil", se.C).real   # E|ghat_il^H g_kl|^2
+    # A C-ordered copy: sums over the strided diagonal view would run in
+    # another order and move downstream results in the last bits.
+    return cfg.mu * cfg.tau_d * np.ascontiguousarray(second)
 
 
-def harvested_energy_coefficients(k, cache, stats, plan, cfg):
-    """Gradient of E_k with respect to p, shaped (K, L).
+def harvested_energy(k, p, coef):
+    """Closed-form average energy harvested by UE k, in W*samples.
 
-    E_k is linear in the power coefficients, so this matrix both
-    evaluates the closed form (as a dot product with p) and supplies
-    the rows of the energy constraints in the max-min LP.
+    coef is the table from harvested_energy_coefficients.
     """
-    base, cross, square = _energy_coefficient_terms(k, cache, stats, plan, cfg)
-    mu_tau = cfg.mu * cfg.tau_d
-    rho_tau_sq = (cfg.rho_p * cfg.tau_p) ** 2
-    return mu_tau * (base + rho_tau_sq * (cross + square))
+    return float(np.sum(np.asarray(p, dtype=float) * coef[k]))
 
 
-def harvested_energy(k, p, cache, stats, plan, cfg):
-    """Closed-form average energy harvested by UE k, in W*samples."""
-    coeff = harvested_energy_coefficients(k, cache, stats, plan, cfg)
-    return float(np.sum(np.asarray(p, dtype=float) * coeff))
-
-
-def energy_report(p, cache, stats, plan, cfg):
-    harvested = np.array([
-        harvested_energy(k, p, cache, stats, plan, cfg) for k in range(cfg.K)
-    ])
-    return EnergyReport(ap_power=ap_transmit_powers(p, cache), harvested=harvested)
-
-
-def harvested_energy_oracle(k, p, cache, stats, plan, cfg, mc_samples, rng,
+def harvested_energy_oracle(k, p, cache, stats, cfg, mc_samples, rng,
                             batch=20_000):
     """Monte Carlo estimate of UE k's harvested energy.
 

@@ -6,8 +6,7 @@ from fractions import Fraction
 import numpy as np
 
 from cfwpt.config import ScenarioConfig, with_overrides
-from cfwpt.estimation import assign_pilots
-from cfwpt.geometry import ChannelStatistics
+from cfwpt.geometry import ChannelStatistics, assign_pilots
 
 
 def synthetic_stats(L, K, N, tau_p, seed, **overrides):
@@ -30,6 +29,26 @@ def synthetic_stats(L, K, N, tau_p, seed, **overrides):
                               los=np.ones((K, L), dtype=bool),
                               plan=assign_pilots(cfg))
     return cfg, stats
+
+
+def rebuilt_psi(cache, stats, cfg):
+    """Despread-observation covariance Psi per (k, l), (K, L, N, N).
+
+    Rebuilt from the cached R and the pilot plan as rho_p tau_p times
+    the sum of co-pilot covariances plus sigma^2 I, independently of
+    the estimation code.
+    """
+    pilot_of = stats.plan.pilot_of
+    copilot = (pilot_of[:, None] == pilot_of[None, :]).astype(float)
+    N = cache.R.shape[-1]
+    return (cfg.rho_p * cfg.tau_p * np.einsum("km,mlab->klab", copilot, cache.R)
+            + cfg.sigma2 * np.eye(N))
+
+
+def direct_rhat(cache, stats, cfg):
+    """rho_p tau_p R Psi^-1 R per link, via np.linalg.solve."""
+    psi = rebuilt_psi(cache, stats, cfg)
+    return cfg.rho_p * cfg.tau_p * cache.R @ np.linalg.solve(psi, cache.R)
 
 
 def _exact_solve(rows, rhs):

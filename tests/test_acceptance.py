@@ -16,10 +16,10 @@ any seed-to-seed wiggle.
 import numpy as np
 import pytest
 
-from cfwpt.cli import run_optimize
+from cfwpt.cli import build_drop, run_optimize
 from cfwpt.config import ScenarioConfig, load_config, with_overrides
 from cfwpt.estimation import build_cache
-from cfwpt.geometry import PropagationModel, draw_link_statistics, place_network
+from cfwpt.geometry import PropagationModel
 from cfwpt.linalg import hermitian_solve
 from cfwpt.lp import LPProblem, lp_feasible
 from cfwpt.maxmin import fpc_baseline, optimal_lsfd, solve_maxmin
@@ -27,10 +27,11 @@ from cfwpt.wit import lsfd_statistics, se_statistics_oracle, sinr
 from cfwpt.wpt import (
     ap_transmit_powers,
     harvested_energy,
+    harvested_energy_coefficients,
     harvested_energy_oracle,
 )
 
-from helpers import oracle_feasible, random_int_lp, synthetic_stats
+from helpers import direct_rhat, oracle_feasible, random_int_lp, synthetic_stats
 
 MC_SAMPLES = 200_000
 
@@ -63,7 +64,7 @@ def _grid_instances(master_seed):
     for idx, (L, N, K, tau_p) in enumerate(ORACLE_GRID):
         cfg, stats = synthetic_stats(L=L, K=K, N=N, tau_p=tau_p,
                                      seed=int(seeds[idx]))
-        cache = build_cache(stats, stats.plan, cfg)
+        cache = build_cache(stats, cfg)
         yield idx, cfg, stats, cache
 
 
@@ -72,11 +73,13 @@ def test_criterion_1_harvested_energy_oracle():
     for idx, cfg, stats, cache in _grid_instances(master_seed=101):
         K = cfg.K
         p = cfg.rho_d / (K * cache.tr_rhat)
+        coef = harvested_energy_coefficients(
+            lsfd_statistics(cache, stats, cfg), cfg)
         rng = np.random.default_rng(np.random.SeedSequence(202, spawn_key=(idx,)))
         for k in range(K):
-            closed = harvested_energy(k, p, cache, stats, stats.plan, cfg)
+            closed = harvested_energy(k, p, coef)
             est, se = harvested_energy_oracle(
-                k, p, cache, stats, stats.plan, cfg, MC_SAMPLES, rng)
+                k, p, cache, stats, cfg, MC_SAMPLES, rng)
             worst = max(worst, abs(est - closed) / se)
     _report(1, "harvested energy closed form vs Monte Carlo",
             worst <= 3.0, f"max|z| = {worst:.3f} over 10 instances")
@@ -86,10 +89,9 @@ def test_criterion_2_decoding_statistics_oracle():
     worst = 0.0
     structure_ok = True
     for idx, cfg, stats, cache in _grid_instances(master_seed=101):
-        se = lsfd_statistics(cache, stats, stats.plan, cfg)
+        se = lsfd_statistics(cache, stats, cfg)
         rng = np.random.default_rng(np.random.SeedSequence(616, spawn_key=(idx,)))
-        est = se_statistics_oracle(cache, stats, stats.plan, cfg,
-                                   MC_SAMPLES, rng)
+        est = se_statistics_oracle(cache, stats, cfg, MC_SAMPLES, rng)
 
         def zmax(closed, mean, err):
             diff = np.abs(np.asarray(closed, dtype=complex) - mean)
@@ -102,11 +104,11 @@ def test_criterion_2_decoding_statistics_oracle():
                     zmax(se.D, est.D, est.D_se))
         # Cross-AP entries of C must be exactly zero without a shared
         # pilot (and the Monte Carlo side is covered by the z gate).
-        plan = stats.plan
+        pilot_of = stats.plan.pilot_of
         off = ~np.eye(cfg.L, dtype=bool)
         for k in range(cfg.K):
             for m in range(cfg.K):
-                if not plan.share_pilot(k, m):
+                if pilot_of[k] != pilot_of[m]:
                     structure_ok = structure_ok and np.all(se.C[k, m][off] == 0.0)
     _report(2, "decoding statistics closed forms vs Monte Carlo",
             worst <= 3.0 and structure_ok,
@@ -124,9 +126,9 @@ def test_criterion_3_exact_identities():
         tau_p = 1 + i % 5
         cfg, stats = synthetic_stats(L=2, K=5, N=N, tau_p=tau_p,
                                      seed=int(seeds[i]))
-        cache = build_cache(stats, stats.plan, cfg)
-        se = lsfd_statistics(cache, stats, stats.plan, cfg)
-        gap = cache.Rhat + cache.C - cache.R
+        cache = build_cache(stats, cfg)
+        se = lsfd_statistics(cache, stats, cfg)
+        gap = cache.Rhat - direct_rhat(cache, stats, cfg)
         split = (np.linalg.norm(gap, axis=(2, 3))
                  / np.linalg.norm(cache.R, axis=(2, 3)))
         worst_split = max(worst_split, float(split.max()))
@@ -148,10 +150,7 @@ def optimizer_sweep():
     out = []
     for i in range(50):
         rng = np.random.default_rng(np.random.SeedSequence(424242, spawn_key=(i,)))
-        geom = place_network(cfg, rng)
-        stats = draw_link_statistics(geom, prop, cfg, rng)
-        cache = build_cache(stats, stats.plan, cfg)
-        se = lsfd_statistics(cache, stats, stats.plan, cfg)
+        stats, cache, se = build_drop(cfg, prop, rng)
         res = solve_maxmin(stats, cache, se, cfg, eps=1e-4)
         fpc = fpc_baseline(stats, cache, se, cfg)
         out.append((cfg, stats, cache, se, res, fpc))
@@ -173,6 +172,7 @@ def test_criterion_4_optimizer_soundness(optimizer_sweep):
         if res.status != "solved":
             continue
         solved += 1
+        coef = harvested_energy_coefficients(se, cfg)
         alloc = res.allocation
         a = optimal_lsfd(alloc.eta, se)
         worst_sinr = min(sinr(k, a, alloc.eta, se) for k in range(cfg.K))
@@ -186,8 +186,7 @@ def test_criterion_4_optimizer_soundness(optimizer_sweep):
             ok = False
             notes.append("negative power")
         for k in range(cfg.K):
-            earned = harvested_energy(k, alloc.p, cache, stats,
-                                      stats.plan, cfg)
+            earned = harvested_energy(k, alloc.p, coef)
             if cfg.tau_u * alloc.eta[k] + cfg.tau_p * cfg.rho_p \
                     > earned + 1e-9 * earned:
                 ok = False
@@ -227,8 +226,8 @@ def test_criterion_6_weight_optimality():
         tau_p = int(rng0.integers(1, K + 1))
         cfg, stats = synthetic_stats(L=L, K=K, N=N, tau_p=tau_p,
                                      seed=int(rng0.integers(2 ** 31)))
-        cache = build_cache(stats, stats.plan, cfg)
-        se = lsfd_statistics(cache, stats, stats.plan, cfg)
+        cache = build_cache(stats, cfg)
+        se = lsfd_statistics(cache, stats, cfg)
         eta = rng0.uniform(0.0, 1.0, size=K)
         a_opt = optimal_lsfd(eta, se)
         for k in range(K):
@@ -277,10 +276,7 @@ def test_criterion_8_ap_density_trend():
         mins = []
         for i in range(30):
             rng = np.random.default_rng(np.random.SeedSequence(777, spawn_key=(i,)))
-            geom = place_network(cfg, rng)
-            stats = draw_link_statistics(geom, prop, cfg, rng)
-            cache = build_cache(stats, stats.plan, cfg)
-            se = lsfd_statistics(cache, stats, stats.plan, cfg)
+            stats, cache, se = build_drop(cfg, prop, rng)
             res = solve_maxmin(stats, cache, se, cfg, eps=1e-4)
             mins.append(float(res.per_ue_se.min()))
         medians[name] = float(np.median(mins))

@@ -1,12 +1,9 @@
-import dataclasses
-
 import numpy as np
-import pytest
 
 from cfwpt.channel import sample_pilot_observation, sample_realization
 from cfwpt.estimation import build_cache, lmmse_estimate
 
-from helpers import synthetic_stats
+from helpers import rebuilt_psi, synthetic_stats
 
 
 def test_realization_shapes():
@@ -46,38 +43,31 @@ def test_copilot_observations_identical():
     cfg, stats = synthetic_stats(L=2, K=4, N=3, tau_p=2, seed=34)
     real = sample_realization(stats, np.random.default_rng(7), size=5)
     z = sample_pilot_observation(real, stats, cfg, np.random.default_rng(8))
-    plan = stats.plan
+    pilot_of = stats.plan.pilot_of
     for k in range(4):
-        for i in plan.copilots(k):
+        for i in np.flatnonzero(pilot_of == pilot_of[k]):
             assert np.array_equal(z[..., k, :, :], z[..., i, :, :])
     assert not np.allclose(z[..., 0, :, :], z[..., 1, :, :])
 
 
-def test_observation_requires_plan():
-    cfg, stats = synthetic_stats(L=1, K=2, N=2, tau_p=1, seed=35)
-    stripped = dataclasses.replace(stats, plan=None)
-    real = sample_realization(stripped, np.random.default_rng(9))
-    with pytest.raises(ValueError, match="pilot plan"):
-        sample_pilot_observation(real, stripped, cfg, np.random.default_rng(10))
-
-
 def test_observation_covariance_matches_psi():
     cfg, stats = synthetic_stats(L=1, K=3, N=2, tau_p=2, seed=36)
-    cache = build_cache(stats, stats.plan, cfg)
+    cache = build_cache(stats, cfg)
+    psi = rebuilt_psi(cache, stats, cfg)[0, 0]
     n = 40_000
     rng = np.random.default_rng(11)
     real = sample_realization(stats, rng, size=n)
     z = sample_pilot_observation(real, stats, cfg, rng)
     z0 = z[:, 0, 0, :]
     emp = (z0.conj()[:, :, None] * z0[:, None, :]).mean(axis=0).conj()
-    assert np.abs(z0.mean(axis=0)).max() < 0.05 * np.sqrt(np.abs(cache.Psi[0, 0]).max())
-    assert np.abs(emp - cache.Psi[0, 0]).max() < 0.05 * np.abs(cache.Psi[0, 0]).max()
+    assert np.abs(z0.mean(axis=0)).max() < 0.05 * np.sqrt(np.abs(psi).max())
+    assert np.abs(emp - psi).max() < 0.05 * np.abs(psi).max()
 
 
 def test_estimate_covariance_matches_rhat():
     """End-to-end: E{ghat ghat^H} from joint draws approaches Rhat."""
     cfg, stats = synthetic_stats(L=2, K=4, N=2, tau_p=2, seed=37)
-    cache = build_cache(stats, stats.plan, cfg)
+    cache = build_cache(stats, cfg)
     n = 60_000
     rng = np.random.default_rng(12)
     real = sample_realization(stats, rng, size=n)

@@ -204,6 +204,18 @@ def test_main_optimize_and_cdf_round_trip(tmp_path, capsys):
     assert "min SE per setup, FPC" in capsys.readouterr().out
 
 
+def test_main_optimize_rejects_nan_power(tmp_path, capsys):
+    bad = tmp_path / "nan.cfg"
+    bad.write_text((CONFIGS / "small_demo.cfg").read_text() + "rho_p = nan\n")
+    out = tmp_path / "sweep"
+    code = main(["optimize", "--config", str(bad), "--setups", "1",
+                 "--out", str(out)])
+    assert code == 2
+    assert "rho_p" in capsys.readouterr().err
+    assert not (out / "se_per_ue.csv").exists()
+    assert not (out / "min_se_per_setup.csv").exists()
+
+
 def test_main_usage_errors(tmp_path, capsys):
     assert main([]) == 2
     assert main(["optimize", "--bogus"]) == 2

@@ -48,11 +48,34 @@ def test_tau_split_must_sum():
         dict(ap_placement="hexagonal"),
         dict(mc_samples=0),
         dict(seed=-1),
+        dict(rho_p=math.nan),
+        dict(rho_d=math.inf),
+        dict(sigma2=math.nan),
+        dict(area_side=math.nan),
+        dict(carrier_freq=-1.0),
+        dict(carrier_freq=math.inf),
+        dict(height_diff=-1.0),
+        dict(height_diff=math.nan),
     ],
 )
 def test_validation_rejects(bad):
     with pytest.raises(ConfigError):
         ScenarioConfig(**bad)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(shadow_std_los=-3.0),
+        dict(shadow_std_nlos=math.nan),
+        dict(pathloss_los=(16.9, math.nan, 20.0)),
+        dict(pathloss_nlos=(43.3, 11.5, math.inf)),
+        dict(pathloss_nlos=(43.3, 11.5)),
+    ],
+)
+def test_propagation_validation_rejects(bad):
+    with pytest.raises(ConfigError):
+        PropagationModel(**bad)
 
 
 def test_with_overrides_revalidates():
@@ -110,6 +133,13 @@ def test_load_config_rejects_short_triple(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("pathloss_los = 1.0, 2.0\n")
     with pytest.raises(ConfigError):
+        load_config(path)
+
+
+def test_load_config_rejects_nonfinite_triple(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text("pathloss_los = 16.9, nan, 20.0\n")
+    with pytest.raises(ConfigError, match="pathloss_los"):
         load_config(path)
 
 

@@ -101,7 +101,7 @@ def test_draw_link_statistics_shapes_and_plan():
     assert stats.gbar.shape == (6, 4, 3)
     assert stats.beta_tot.shape == (6, 4)
     assert stats.los.shape == (6, 4)
-    assert stats.plan is not None
+    assert stats.plan.pilot_of.tolist() == [0, 1, 0, 1, 0, 1]
     assert np.all(stats.beta >= BETA_FLOOR)
 
 

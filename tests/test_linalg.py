@@ -6,7 +6,6 @@ from cfwpt.linalg import (
     NotPositiveDefiniteError,
     hermitian_inverse,
     hermitian_solve,
-    trace_product,
 )
 
 
@@ -77,42 +76,6 @@ def test_inverse_round_trip():
     inv = hermitian_inverse(a)
     assert np.allclose(a @ inv, np.eye(6), atol=1e-10)
     assert np.allclose(inv, inv.conj().T)
-
-
-def test_trace_product_identity_left():
-    rng = np.random.default_rng(5)
-    b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    assert np.isclose(trace_product(np.eye(4, dtype=complex), b), np.trace(b))
-
-
-def test_trace_product_matches_full_product():
-    rng = np.random.default_rng(9)
-    a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    b = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    assert np.isclose(trace_product(a, b), np.trace(a @ b), rtol=1e-12)
-
-
-def test_trace_product_conjugation_identity():
-    rng = np.random.default_rng(13)
-    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    lhs = trace_product(a, b)
-    rhs = np.conj(trace_product(b.conj().T, a.conj().T))
-    assert np.isclose(lhs, rhs)
-
-
-def test_trace_product_psd_pair_real_nonneg():
-    rng = np.random.default_rng(17)
-    a = random_pd(rng, 4)
-    b = random_pd(rng, 4)
-    val = trace_product(a, b)
-    assert abs(val.imag) <= 1e-12 * abs(val.real)
-    assert val.real > 0
-
-
-def test_trace_product_shape_mismatch():
-    with pytest.raises(ValueError):
-        trace_product(np.eye(2, dtype=complex), np.eye(3, dtype=complex))
 
 
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=10_000))

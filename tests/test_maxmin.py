@@ -22,28 +22,38 @@ def _instance(seed=71, **kw):
     params = dict(L=2, K=3, N=2, tau_p=2)
     params.update(kw)
     cfg, stats = synthetic_stats(**params, seed=seed)
-    cache = build_cache(stats, stats.plan, cfg)
-    se = lsfd_statistics(cache, stats, stats.plan, cfg)
+    cache = build_cache(stats, cfg)
+    se = lsfd_statistics(cache, stats, cfg)
     return cfg, stats, cache, se
 
 
 def test_energy_table_stacks_per_ue_gradients():
-    from cfwpt.wpt import harvested_energy_coefficients
-
+    """Row k is dE_k/dp, written out per UE from the cache: the
+    matched-filter energy tr(Rhat_il R_kl), plus beam-alignment terms
+    from the transmitters that share UE k's pilot."""
     cfg, stats, cache, se = _instance()
-    table = energy_coefficient_table(cache, stats, stats.plan, cfg)
+    table = energy_coefficient_table(se, cfg)
     assert table.shape == (3, 3, 2)
+    rho_tau = cfg.rho_p * cfg.tau_p
+    pilot_of = stats.plan.pilot_of
+    tr_m = np.einsum("ilaa->il", cache.psi_inv_r).real
     for k in range(3):
-        assert np.array_equal(
-            table[k],
-            harvested_energy_coefficients(k, cache, stats, stats.plan, cfg))
+        base = np.einsum("ilab,lba->il", cache.Rhat, cache.R[k]).real
+        quad = np.einsum("la,ilab,lb->il", stats.gbar[k].conj(),
+                         cache.psi_inv_r, stats.gbar[k]).real
+        bt = stats.beta[k] * tr_m
+        copilot = (pilot_of == pilot_of[k])[:, None]
+        want = cfg.mu * cfg.tau_d * (
+            base + rho_tau ** 2 * copilot * (2.0 * bt * quad + bt ** 2))
+        assert np.allclose(table[k], want, rtol=1e-12, atol=0.0)
 
 
 def test_lp_layout():
     cfg, stats, cache, se = _instance()
     K, L = 3, 2
     a = np.ones((K, L), dtype=complex)
-    lp = build_feasibility_lp(0.3, a, se, cache, stats, cfg)
+    table = energy_coefficient_table(se, cfg)
+    lp = build_feasibility_lp(0.3, a, se, cache, table, cfg)
     assert lp.A.shape == (2 * K + L, K * L + K)
     assert lp.n == K * L + K
     # AP power rows touch only the p block, one column stride apart.
@@ -56,7 +66,6 @@ def test_lp_layout():
         assert np.all(row[:K * L][mask] == 0.0)
     assert np.allclose(lp.b[K:K + L], cfg.rho_d)
     # Energy rows: tau_u on own eta, negated coefficients on p.
-    table = energy_coefficient_table(cache, stats, stats.plan, cfg)
     for k in range(K):
         row = lp.A[K + L + k]
         assert row[K * L + k] == cfg.tau_u
@@ -69,14 +78,15 @@ def test_lp_zero_target_needs_pilot_energy():
     cfg, stats, cache, se = _instance()
     K, L = 3, 2
     a = np.ones((K, L), dtype=complex)
-    lp = build_feasibility_lp(0.0, a, se, cache, stats, cfg)
+    table = energy_coefficient_table(se, cfg)
+    lp = build_feasibility_lp(0.0, a, se, cache, table, cfg)
     assert np.all(lp.A[:K, :K * L] == 0.0)
     assert np.all(lp.b[:K] == 0.0)
     x = lp_feasible(lp)
     assert x is not None
     p = x[:K * L].reshape(K, L)
     for k in range(K):
-        earned = harvested_energy(k, p, cache, stats, stats.plan, cfg)
+        earned = harvested_energy(k, p, table)
         spent = cfg.tau_u * x[K * L + k] + cfg.tau_p * cfg.rho_p
         assert spent <= earned + 1e-9 * max(earned, 1.0)
     assert np.all(ap_transmit_powers(p, cache) <= cfg.rho_d + 1e-9)
@@ -89,7 +99,8 @@ def test_feasible_probe_certifies_target():
     res = solve_maxmin(stats, cache, se, cfg, eps=1e-3)
     assert res.status == "solved" and res.t_star > 0.0
     t = 0.9 * res.t_star
-    x = lp_feasible(build_feasibility_lp(t, res.weights, se, cache, stats, cfg))
+    table = energy_coefficient_table(se, cfg)
+    x = lp_feasible(build_feasibility_lp(t, res.weights, se, cache, table, cfg))
     assert x is not None, "solver's own optimum must stay feasible below t_star"
     eta = x[K * L:]
     a_new = optimal_lsfd(eta, se)
@@ -101,12 +112,13 @@ def test_single_user_feasibility_threshold():
     cfg, stats, cache, se = _instance(seed=73, K=1, L=2, N=2, tau_p=1)
     bound = upper_bound_tmax(se, cache, stats, cfg)
     assert bound > 0.0
+    table = energy_coefficient_table(se, cfg)
     p = cfg.rho_d / cache.tr_rhat[0]
-    energy = harvested_energy(0, p[None, :], cache, stats, stats.plan, cfg)
+    energy = harvested_energy(0, p[None, :], table)
     eta = np.array([max(0.0, (energy - cfg.tau_p * cfg.rho_p) / cfg.tau_u)])
     a = optimal_lsfd(eta, se)
-    below = build_feasibility_lp(0.95 * bound, a, se, cache, stats, cfg)
-    above = build_feasibility_lp(1.05 * bound, a, se, cache, stats, cfg)
+    below = build_feasibility_lp(0.95 * bound, a, se, cache, table, cfg)
+    above = build_feasibility_lp(1.05 * bound, a, se, cache, table, cfg)
     assert lp_feasible(below) is not None
     assert lp_feasible(above) is None
 
@@ -210,9 +222,9 @@ def test_solver_certificates_and_trace():
     # Hard constraints hold at the returned allocation.
     assert np.all(ap_transmit_powers(res.allocation.p, cache)
                   <= cfg.rho_d + 1e-9)
+    table = energy_coefficient_table(se, cfg)
     for k in range(3):
-        earned = harvested_energy(k, res.allocation.p, cache, stats,
-                                  stats.plan, cfg)
+        earned = harvested_energy(k, res.allocation.p, table)
         spent = cfg.tau_u * res.allocation.eta[k] + cfg.tau_p * cfg.rho_p
         assert spent <= earned + 1e-9 * max(earned, 1.0)
     # Weights are the optimal ones for the returned powers.
