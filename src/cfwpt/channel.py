@@ -53,7 +53,6 @@ def sample_pilot_observation(real, stats, cfg, rng):
     (K, L, N).  Co-pilot users observe the identical statistic: the sum
     over their group plus one shared noise draw per (pilot, AP) pair.
     """
-    plan = stats.plan
     g = real.g
     batch = g.shape[:-3]
     K, L, N = g.shape[-3:]
@@ -62,7 +61,7 @@ def sample_pilot_observation(real, stats, cfg, rng):
     z_by_pilot = noise
     scale = np.sqrt(cfg.rho_p * cfg.tau_p)
     for t in range(cfg.tau_p):
-        members = np.flatnonzero(plan.pilot_of == t)
+        members = np.flatnonzero(stats.pilot_of == t)
         if members.size:
             z_by_pilot[..., t, :, :] += scale * g[..., members, :, :].sum(axis=-3)
-    return z_by_pilot[..., plan.pilot_of, :, :]
+    return z_by_pilot[..., stats.pilot_of, :, :]

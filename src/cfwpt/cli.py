@@ -143,7 +143,7 @@ def run_validate(cfg, prop, mc_samples, seed, corrupt=False, out=None):
 
     checks = []
     coef = harvested_energy_coefficients(se, cfg)
-    closed_e = np.array([harvested_energy(k, p, coef) for k in range(K)])
+    closed_e = harvested_energy(p, coef)
     if corrupt:
         closed_e = closed_e * 1.05
     est = np.array([harvested_energy_oracle(k, p, cache, stats, cfg,

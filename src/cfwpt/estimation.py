@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .linalg import hermitian_inverse
+from scipy.linalg import cho_factor, cho_solve
 
 
 @dataclass(frozen=True)
@@ -36,29 +35,31 @@ def build_cache(stats, cfg):
     """Build covariance and estimator matrices per link.
 
     R = gbar gbar^H + beta I;  Psi = rho_p tau_p * sum of co-pilot R's
-    plus sigma^2 I;  Rhat = rho_p tau_p R Psi^-1 R.
+    plus sigma^2 I;  Rhat = rho_p tau_p R Psi^-1 R.  Raises
+    numpy.linalg.LinAlgError if some Psi is not positive definite.
     """
-    K, L, N = stats.gbar.shape
-    pilot_of = stats.plan.pilot_of
+    N = stats.gbar.shape[-1]
     rho_tau = cfg.rho_p * cfg.tau_p
     eye = np.eye(N, dtype=complex)
 
     R = (stats.gbar[:, :, :, None] * stats.gbar[:, :, None, :].conj()
          + stats.beta[:, :, None, None] * eye)
 
-    # One Psi^-1 per (pilot, AP); index back per UE so co-pilot users
-    # share bit-identical matrices.
-    psi_inv_by_pilot = np.empty((cfg.tau_p, L, N, N), dtype=complex)
-    for t in range(cfg.tau_p):
-        members = np.flatnonzero(pilot_of == t)
-        contrib = R[members].sum(axis=0) if members.size else np.zeros((L, N, N), complex)
-        psi = rho_tau * contrib + cfg.sigma2 * eye
-        for l in range(L):
-            psi_inv_by_pilot[t, l] = hermitian_inverse(psi[l])
+    # One Psi per (pilot, AP), all factored in one stacked Cholesky call;
+    # co-pilot users solve with the same factor, so they get
+    # bit-identical Psi^-1 R for identical R.
+    psi = np.zeros((cfg.tau_p,) + R.shape[1:], dtype=complex)
+    np.add.at(psi, stats.pilot_of, R)
+    psi *= rho_tau
+    psi += cfg.sigma2 * eye
+    factor = cho_factor(psi, check_finite=False)[0]
+    psi_inv_r = cho_solve((factor[stats.pilot_of], False), R,
+                          check_finite=False)
 
-    psi_inv_r = np.einsum("klab,klbc->klac", psi_inv_by_pilot[pilot_of], R)
-    Rhat = rho_tau * np.einsum("klab,klbc->klac", R, psi_inv_r)
-    Rhat = 0.5 * (Rhat + Rhat.conj().swapaxes(-1, -2))
+    Rhat = R @ psi_inv_r
+    Rhat *= rho_tau
+    Rhat += Rhat.conj().swapaxes(-1, -2)
+    Rhat *= 0.5
     tr_rhat = np.einsum("klaa->kl", Rhat).real
 
     return EstimationCache(R=R, Rhat=Rhat, tr_rhat=tr_rhat, psi_inv_r=psi_inv_r)

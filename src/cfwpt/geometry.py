@@ -62,10 +62,6 @@ class PropagationModel:
             if not (math.isfinite(std) and std >= 0.0):
                 raise ConfigError(f"{name} = {std} must be finite and >= 0")
 
-    def pathloss_db(self, d, carrier_freq, los):
-        a, b, c = self.pathloss_los if los else self.pathloss_nlos
-        return a * math.log10(d) + b + c * math.log10(carrier_freq)
-
 
 @dataclass(frozen=True)
 class NetworkGeometry:
@@ -74,15 +70,9 @@ class NetworkGeometry:
     height_diff: float         # m, common to all links
 
 
-@dataclass(frozen=True)
-class PilotPlan:
-    """Round-robin pilot assignment: UE k uses pilot k mod tau_p."""
-
-    pilot_of: np.ndarray   # (K,) int in [0, tau_p)
-
-
 def assign_pilots(cfg):
-    return PilotPlan(pilot_of=np.arange(cfg.K) % cfg.tau_p)
+    """Round-robin pilot assignment: UE k uses pilot k mod tau_p."""
+    return np.arange(cfg.K) % cfg.tau_p
 
 
 @dataclass(frozen=True)
@@ -92,15 +82,15 @@ class ChannelStatistics:
     beta[k, l] is the scattered (NLOS) power per antenna, gbar[k, l] the
     deterministic LOS response before the per-block phase rotation, so
     the total link gain per antenna is beta + |gbar|^2 / N.  beta_tot
-    and los are kept for diagnostics; plan is the pilot assignment the
-    statistics were drawn for.
+    and los are kept for diagnostics; pilot_of[k] is the pilot UE k
+    sends, from assign_pilots.
     """
 
     beta: np.ndarray        # (K, L) real > 0
     gbar: np.ndarray        # (K, L, N) complex
     beta_tot: np.ndarray    # (K, L) total gain per antenna
     los: np.ndarray         # (K, L) bool
-    plan: PilotPlan
+    pilot_of: np.ndarray    # (K,) int in [0, tau_p)
 
 
 def place_network(cfg, rng):
@@ -171,4 +161,4 @@ def draw_link_statistics(geom, prop, cfg, rng):
     beta = np.maximum(beta_tot / (kappa + 1.0), BETA_FLOOR)
 
     return ChannelStatistics(beta=beta, gbar=gbar, beta_tot=beta_tot,
-                             los=los, plan=assign_pilots(cfg))
+                             los=los, pilot_of=assign_pilots(cfg))

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
-from .linalg import hermitian_solve
 from .lp import LPProblem, lp_feasible
 from .wit import sinr, spectral_efficiency
 from .wpt import PowerAllocation, harvested_energy
@@ -95,15 +95,26 @@ def build_feasibility_lp(t, a, se, cache, energy_coef, cfg):
 
 
 def optimal_lsfd(eta, se):
-    """SINR-maximizing fusion weights a_k = (sum_m eta_m C_km + D_k)^-1 b_k."""
-    K, L = se.b.shape
-    eta = np.asarray(eta, dtype=float)
-    interference = np.einsum("m,kmlw->klw", eta, se.C)
-    a = np.empty((K, L), dtype=complex)
-    for k in range(K):
-        m = interference[k] + np.diag(se.D[k]).astype(complex)
-        a[k] = hermitian_solve(m, se.b[k] + 0j)
-    return a
+    """SINR-maximizing fusion weights a_k = (sum_m eta_m C_km + D_k)^-1 b_k.
+
+    Raises numpy.linalg.LinAlgError if some system is not positive
+    definite.
+    """
+    interference = np.einsum("m,kmlw->klw", np.asarray(eta, dtype=float), se.C)
+    return _decoding_weights(interference, se)
+
+
+def _decoding_weights(interference, se):
+    """Solve (interference_k + diag D_k) a_k = b_k for every UE k.
+
+    One stacked Cholesky call over the K systems; interference is
+    overwritten.
+    """
+    idx = np.arange(se.D.shape[1])
+    interference[:, idx, idx] += se.D
+    factor = cho_factor(interference, overwrite_a=True, check_finite=False)[0]
+    return cho_solve((factor, False), se.b[..., None] + 0j,
+                     check_finite=False)[..., 0]
 
 
 def upper_bound_tmax(se, cache, stats, cfg):
@@ -114,24 +125,23 @@ def upper_bound_tmax(se, cache, stats, cfg):
     from above.  Zero means some UE cannot cover its pilot energy even
     under this most generous allocation.
     """
-    K, L = cache.tr_rhat.shape
+    K = se.b.shape[0]
+    own = np.arange(K)
     coef = energy_coefficient_table(se, cfg)
-    worst = np.inf
-    for k in range(K):
-        p = np.zeros((K, L))
-        p[k] = cfg.rho_d / cache.tr_rhat[k]
-        energy = harvested_energy(k, p, coef)
-        eta = np.zeros(K)
-        eta[k] = max(0.0, (energy - cfg.tau_p * cfg.rho_p) / cfg.tau_u)
-        a = optimal_lsfd(eta, se)
-        worst = min(worst, sinr(k, a, eta, se))
-    return float(worst)
+    # UE k alone: p_kl = rho_d / tr(Rhat_kl), every other row of p zero.
+    energy = np.sum(cfg.rho_d / cache.tr_rhat * coef[own, own], axis=1)
+    eta = np.maximum(0.0, (energy - cfg.tau_p * cfg.rho_p) / cfg.tau_u)
+    a = _decoding_weights(eta[:, None, None] * se.C[own, own], se)
+    # With its optimal weights a_k^H b_k = a_k^H M_k a_k = q_k, so the
+    # lone UE's SINR is eta_k q_k / (1 - eta_k q_k).
+    q = np.einsum("kl,kl->k", a.conj(), se.b).real
+    return float(np.min(eta * q / (1.0 - eta * q)))
 
 
 def _certify(x, se, K, L):
     alloc = PowerAllocation(p=x[:K * L].reshape(K, L).copy(), eta=x[K * L:].copy())
     a = optimal_lsfd(alloc.eta, se)
-    sinr_k = np.array([sinr(k, a, alloc.eta, se) for k in range(K)])
+    sinr_k = sinr(a, alloc.eta, se)
     return alloc, a, sinr_k, float(sinr_k.min())
 
 
@@ -213,14 +223,13 @@ def fpc_baseline(stats, cache, se, cfg):
     The per-AP scale c_l is set so each AP radiates exactly rho_d, and
     each UE spends whatever energy it harvests beyond the pilot cost.
     """
-    K, L = cache.tr_rhat.shape
     root = np.sqrt(cache.tr_rhat)
     p = (cfg.rho_d / root.sum(axis=0))[None, :] / root
     coef = energy_coefficient_table(se, cfg)
-    energy = np.einsum("kil,il->k", coef, p)
+    energy = harvested_energy(p, coef)
     eta = np.maximum(0.0, (energy - cfg.tau_p * cfg.rho_p) / cfg.tau_u)
     a = optimal_lsfd(eta, se)
-    sinr_k = np.array([sinr(k, a, eta, se) for k in range(K)])
+    sinr_k = sinr(a, eta, se)
     return MaxMinResult(
         t_star=float(sinr_k.min()),
         allocation=PowerAllocation(p=p, eta=eta),

@@ -52,7 +52,7 @@ def lsfd_statistics(cache, stats, cfg):
     # Same-AP products E{ghat_kl^H g_ml g_ml^H ghat_kl} for all pairs.
     tr_rhat_r = np.einsum("klab,mlba->kml", cache.Rhat, cache.R).real
 
-    pilot_of = stats.plan.pilot_of
+    pilot_of = stats.pilot_of
     copilot = pilot_of[:, None] == pilot_of[None, :]
     mask = copilot.astype(float)
 
@@ -75,21 +75,23 @@ def lsfd_statistics(cache, stats, cfg):
     return SEStatistics(b=b, C=C, D=D)
 
 
-def sinr(k, a, eta, se):
-    """Effective uplink SINR of UE k under weights a and powers eta.
+def sinr(a, eta, se):
+    """Effective uplink SINR of every UE under weights a and powers eta.
 
-    a is the full (K, L) complex weight array; only row k enters.
+    a is the (K, L) complex weight array, row k decoding UE k; returns
+    the (K,) SINRs.
     """
-    ak = np.asarray(a)[k]
+    a = np.asarray(a)
     eta = np.asarray(eta, dtype=float)
-    interference = np.einsum("m,mij->ij", eta, se.C[k])
-    quad = np.einsum("i,ij,j->", ak.conj(), interference, ak).real
-    signal = eta[k] * np.abs(np.vdot(ak, se.b[k])) ** 2
-    noise = float((np.abs(ak) ** 2) @ se.D[k])
+    interference = np.einsum("m,kmij->kij", eta, se.C)
+    quad = np.einsum("ki,kij,kj->k", a.conj(), interference, a).real
+    signal = eta * np.abs(np.einsum("ki,ki->k", a.conj(), se.b)) ** 2
+    noise = np.einsum("ki,ki->k", np.abs(a) ** 2, se.D)
     denom = quad - signal + noise
-    if denom <= 0.0:
-        raise ValueError(f"SINR denominator {denom} <= 0 for UE {k}: "
-                         "invalid statistics or weights")
+    bad = np.flatnonzero(denom <= 0.0)
+    if bad.size:
+        raise ValueError(f"SINR denominator {denom[bad[0]]} <= 0 for UE "
+                         f"{bad[0]}: invalid statistics or weights")
     return signal / denom
 
 

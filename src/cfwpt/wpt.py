@@ -28,11 +28,6 @@ class PowerAllocation:
     eta: np.ndarray   # (K,) uplink powers, >= 0
 
 
-def ap_transmit_powers(p, cache):
-    """Average transmit power of every AP: sum_k p_kl tr(Rhat_kl)."""
-    return np.einsum("kl,kl->l", np.asarray(p, dtype=float), cache.tr_rhat)
-
-
 def harvested_energy_coefficients(se, cfg):
     """(K, K, L) table: entry [k, i, l] is dE_k / dp_il.
 
@@ -46,12 +41,13 @@ def harvested_energy_coefficients(se, cfg):
     return cfg.mu * cfg.tau_d * np.ascontiguousarray(second)
 
 
-def harvested_energy(k, p, coef):
-    """Closed-form average energy harvested by UE k, in W*samples.
+def harvested_energy(p, coef):
+    """Closed-form average energy harvested by every UE, in W*samples.
 
-    coef is the table from harvested_energy_coefficients.
+    p is the (K, L) power-coefficient array and coef the table from
+    harvested_energy_coefficients; returns the (K,) energies.
     """
-    return float(np.sum(np.asarray(p, dtype=float) * coef[k]))
+    return np.einsum("kil,il->k", coef, np.asarray(p, dtype=float))
 
 
 def harvested_energy_oracle(k, p, cache, stats, cfg, mc_samples, rng,

@@ -27,18 +27,18 @@ def synthetic_stats(L, K, N, tau_p, seed, **overrides):
             + 1j * rng.standard_normal((K, L, N))) * 0.7
     stats = ChannelStatistics(beta=beta, gbar=gbar, beta_tot=beta,
                               los=np.ones((K, L), dtype=bool),
-                              plan=assign_pilots(cfg))
+                              pilot_of=assign_pilots(cfg))
     return cfg, stats
 
 
 def rebuilt_psi(cache, stats, cfg):
     """Despread-observation covariance Psi per (k, l), (K, L, N, N).
 
-    Rebuilt from the cached R and the pilot plan as rho_p tau_p times
+    Rebuilt from the cached R and the pilot assignment as rho_p tau_p times
     the sum of co-pilot covariances plus sigma^2 I, independently of
     the estimation code.
     """
-    pilot_of = stats.plan.pilot_of
+    pilot_of = stats.pilot_of
     copilot = (pilot_of[:, None] == pilot_of[None, :]).astype(float)
     N = cache.R.shape[-1]
     return (cfg.rho_p * cfg.tau_p * np.einsum("km,mlab->klab", copilot, cache.R)
@@ -49,6 +49,11 @@ def direct_rhat(cache, stats, cfg):
     """rho_p tau_p R Psi^-1 R per link, via np.linalg.solve."""
     psi = rebuilt_psi(cache, stats, cfg)
     return cfg.rho_p * cfg.tau_p * cache.R @ np.linalg.solve(psi, cache.R)
+
+
+def ap_transmit_powers(p, cache):
+    """Average transmit power of every AP: sum_k p_kl tr(Rhat_kl)."""
+    return np.einsum("kl,kl->l", np.asarray(p, dtype=float), cache.tr_rhat)
 
 
 def _exact_solve(rows, rhs):

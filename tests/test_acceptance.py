@@ -20,18 +20,22 @@ from cfwpt.cli import build_drop, run_optimize
 from cfwpt.config import ScenarioConfig, load_config, with_overrides
 from cfwpt.estimation import build_cache
 from cfwpt.geometry import PropagationModel
-from cfwpt.linalg import hermitian_solve
 from cfwpt.lp import LPProblem, lp_feasible
 from cfwpt.maxmin import fpc_baseline, optimal_lsfd, solve_maxmin
 from cfwpt.wit import lsfd_statistics, se_statistics_oracle, sinr
 from cfwpt.wpt import (
-    ap_transmit_powers,
     harvested_energy,
     harvested_energy_coefficients,
     harvested_energy_oracle,
 )
 
-from helpers import direct_rhat, oracle_feasible, random_int_lp, synthetic_stats
+from helpers import (
+    ap_transmit_powers,
+    direct_rhat,
+    oracle_feasible,
+    random_int_lp,
+    synthetic_stats,
+)
 
 MC_SAMPLES = 200_000
 
@@ -76,8 +80,7 @@ def test_criterion_1_harvested_energy_oracle():
         coef = harvested_energy_coefficients(
             lsfd_statistics(cache, stats, cfg), cfg)
         rng = np.random.default_rng(np.random.SeedSequence(202, spawn_key=(idx,)))
-        for k in range(K):
-            closed = harvested_energy(k, p, coef)
+        for k, closed in enumerate(harvested_energy(p, coef)):
             est, se = harvested_energy_oracle(
                 k, p, cache, stats, cfg, MC_SAMPLES, rng)
             worst = max(worst, abs(est - closed) / se)
@@ -104,7 +107,7 @@ def test_criterion_2_decoding_statistics_oracle():
                     zmax(se.D, est.D, est.D_se))
         # Cross-AP entries of C must be exactly zero without a shared
         # pilot (and the Monte Carlo side is covered by the z gate).
-        pilot_of = stats.plan.pilot_of
+        pilot_of = stats.pilot_of
         off = ~np.eye(cfg.L, dtype=bool)
         for k in range(cfg.K):
             for m in range(cfg.K):
@@ -175,7 +178,7 @@ def test_criterion_4_optimizer_soundness(optimizer_sweep):
         coef = harvested_energy_coefficients(se, cfg)
         alloc = res.allocation
         a = optimal_lsfd(alloc.eta, se)
-        worst_sinr = min(sinr(k, a, alloc.eta, se) for k in range(cfg.K))
+        worst_sinr = sinr(a, alloc.eta, se).min()
         if worst_sinr < res.t_star - 1e-6:
             ok = False
             notes.append(f"SINR certificate broken ({worst_sinr} < {res.t_star})")
@@ -185,12 +188,11 @@ def test_criterion_4_optimizer_soundness(optimizer_sweep):
         if np.any(alloc.p < 0.0) or np.any(alloc.eta < 0.0):
             ok = False
             notes.append("negative power")
-        for k in range(cfg.K):
-            earned = harvested_energy(k, alloc.p, coef)
-            if cfg.tau_u * alloc.eta[k] + cfg.tau_p * cfg.rho_p \
-                    > earned + 1e-9 * earned:
-                ok = False
-                notes.append(f"energy budget exceeded for UE {k}")
+        earned = harvested_energy(alloc.p, coef)
+        spent = cfg.tau_u * alloc.eta + cfg.tau_p * cfg.rho_p
+        for k in np.flatnonzero(spent > earned + 1e-9 * earned):
+            ok = False
+            notes.append(f"energy budget exceeded for UE {k}")
     detail = f"{solved}/50 solved" + ("; " + "; ".join(sorted(set(notes)))
                                       if notes else "")
     _report(4, "optimizer certificates on 50 setups", ok, detail)
@@ -230,12 +232,13 @@ def test_criterion_6_weight_optimality():
         se = lsfd_statistics(cache, stats, cfg)
         eta = rng0.uniform(0.0, 1.0, size=K)
         a_opt = optimal_lsfd(eta, se)
+        sinr_opt = sinr(a_opt, eta, se)
         for k in range(K):
             m = np.einsum("m,mlw->lw", eta, se.C[k]) + np.diag(se.D[k])
             q = float(np.vdot(se.b[k].astype(complex),
-                              hermitian_solve(m, se.b[k] + 0j)).real)
+                              np.linalg.solve(m, se.b[k] + 0j)).real)
             s_formula = eta[k] * q / (1.0 - eta[k] * q)
-            s_opt = sinr(k, a_opt, eta, se)
+            s_opt = sinr_opt[k]
             if s_formula > 0.0:
                 worst_formula = max(worst_formula,
                                     abs(s_opt - s_formula) / s_formula)

@@ -43,7 +43,7 @@ def test_copilot_observations_identical():
     cfg, stats = synthetic_stats(L=2, K=4, N=3, tau_p=2, seed=34)
     real = sample_realization(stats, np.random.default_rng(7), size=5)
     z = sample_pilot_observation(real, stats, cfg, np.random.default_rng(8))
-    pilot_of = stats.plan.pilot_of
+    pilot_of = stats.pilot_of
     for k in range(4):
         for i in np.flatnonzero(pilot_of == pilot_of[k]):
             assert np.array_equal(z[..., k, :, :], z[..., i, :, :])

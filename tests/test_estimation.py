@@ -13,14 +13,12 @@ from helpers import direct_rhat, rebuilt_psi, synthetic_stats
 
 def test_round_robin_assignment():
     cfg = with_overrides(ScenarioConfig(), K=5, tau_p=2, tau_d=25, tau_u=173)
-    plan = assign_pilots(cfg)
-    assert plan.pilot_of.tolist() == [0, 1, 0, 1, 0]
+    assert assign_pilots(cfg).tolist() == [0, 1, 0, 1, 0]
 
 
 def test_orthogonal_when_enough_pilots():
     cfg = with_overrides(ScenarioConfig(), K=4, tau_p=5)
-    plan = assign_pilots(cfg)
-    assert plan.pilot_of.tolist() == [0, 1, 2, 3]
+    assert assign_pilots(cfg).tolist() == [0, 1, 2, 3]
 
 
 def _scalar_setup():
@@ -33,7 +31,7 @@ def _scalar_setup():
         gbar=np.array([[[1.0 + 0.0j]]]),
         beta_tot=np.array([[2.0]]),
         los=np.array([[True]]),
-        plan=assign_pilots(cfg),
+        pilot_of=assign_pilots(cfg),
     )
     return cfg, stats
 
@@ -126,6 +124,16 @@ def test_error_covariance_psd():
         for l in range(2):
             w = np.linalg.eigvalsh(cache.R[k, l] - cache.Rhat[k, l])
             assert w.min() >= -1e-10 * max(w.max(), 1.0)
+
+
+def test_build_cache_rejects_not_positive_definite():
+    """A negative scattering power makes one Psi indefinite; the stacked
+    Cholesky factorization must fail loudly."""
+    cfg, stats = synthetic_stats(L=2, K=3, N=2, tau_p=2, seed=28)
+    beta = stats.beta.copy()
+    beta[1, 0] = -1e3
+    with pytest.raises(np.linalg.LinAlgError):
+        build_cache(dataclasses.replace(stats, beta=beta), cfg)
 
 
 @given(st.integers(min_value=1, max_value=3),

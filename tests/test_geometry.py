@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from cfwpt.config import ScenarioConfig, with_overrides
 from cfwpt.geometry import (
     BETA_FLOOR,
+    NetworkGeometry,
     PropagationModel,
     draw_link_statistics,
     inh_los_probability,
@@ -27,18 +29,37 @@ def test_link_distance_broadcasts():
     assert np.allclose(d[:, 0], [5.0, 4.0])
 
 
+def _pathloss_db(prop, d, los):
+    """Path loss in dB that draw_link_statistics applies at distances d.
+
+    One AP at the origin and one UE per distance on the x axis, in one
+    plane; shadowing is off and the LOS state is fixed, so beta_tot is
+    the path loss alone.
+    """
+    d = np.asarray(d, dtype=float)
+    cfg = with_overrides(ScenarioConfig(), L=1, K=d.size, N=1, tau_p=1,
+                         tau_d=25, tau_u=174)
+    geom = NetworkGeometry(ap_positions=np.zeros((1, 2)),
+                           ue_positions=np.column_stack([d, np.zeros_like(d)]),
+                           height_diff=0.0)
+    fixed = dataclasses.replace(prop, shadow_std_los=0.0, shadow_std_nlos=0.0,
+                                los_probability=lambda _: float(los))
+    stats = draw_link_statistics(geom, fixed, cfg, np.random.default_rng(0))
+    assert np.all(stats.los == los)
+    return -10.0 * np.log10(stats.beta_tot[:, 0])
+
+
 def test_pathloss_reference_point():
-    prop = PropagationModel()
     # 16.9*log10(10) + 32.8 + 20*log10(3.4)
-    assert prop.pathloss_db(10.0, 3.4, los=True) == pytest.approx(60.32957834, abs=1e-6)
+    pl = _pathloss_db(PropagationModel(), [10.0], los=True)
+    assert pl[0] == pytest.approx(60.32957834, abs=1e-6)
 
 
 def test_pathloss_monotone_in_distance():
-    prop = PropagationModel()
     d = np.linspace(1.0, 150.0, 300)
     for los in (True, False):
-        pl = [prop.pathloss_db(x, 3.4, los) for x in d]
-        assert all(b > a for a, b in zip(pl, pl[1:]))
+        pl = _pathloss_db(PropagationModel(), d, los)
+        assert np.all(np.diff(pl) > 0.0)
 
 
 def test_los_probability_regions():
@@ -101,7 +122,7 @@ def test_draw_link_statistics_shapes_and_plan():
     assert stats.gbar.shape == (6, 4, 3)
     assert stats.beta_tot.shape == (6, 4)
     assert stats.los.shape == (6, 4)
-    assert stats.plan.pilot_of.tolist() == [0, 1, 0, 1, 0, 1]
+    assert stats.pilot_of.tolist() == [0, 1, 0, 1, 0, 1]
     assert np.all(stats.beta >= BETA_FLOOR)
 
 

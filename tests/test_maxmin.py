@@ -1,7 +1,12 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from cfwpt.config import with_overrides
+from cfwpt.cli import build_drop
+from cfwpt.config import load_config, with_overrides
 from cfwpt.estimation import build_cache
 from cfwpt.lp import lp_feasible
 from cfwpt.maxmin import (
@@ -13,9 +18,11 @@ from cfwpt.maxmin import (
     upper_bound_tmax,
 )
 from cfwpt.wit import lsfd_statistics, sinr, spectral_efficiency
-from cfwpt.wpt import ap_transmit_powers, harvested_energy
+from cfwpt.wpt import harvested_energy
 
-from helpers import synthetic_stats
+from helpers import ap_transmit_powers, synthetic_stats
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _instance(seed=71, **kw):
@@ -35,7 +42,7 @@ def test_energy_table_stacks_per_ue_gradients():
     table = energy_coefficient_table(se, cfg)
     assert table.shape == (3, 3, 2)
     rho_tau = cfg.rho_p * cfg.tau_p
-    pilot_of = stats.plan.pilot_of
+    pilot_of = stats.pilot_of
     tr_m = np.einsum("ilaa->il", cache.psi_inv_r).real
     for k in range(3):
         base = np.einsum("ilab,lba->il", cache.Rhat, cache.R[k]).real
@@ -85,10 +92,9 @@ def test_lp_zero_target_needs_pilot_energy():
     x = lp_feasible(lp)
     assert x is not None
     p = x[:K * L].reshape(K, L)
-    for k in range(K):
-        earned = harvested_energy(k, p, table)
-        spent = cfg.tau_u * x[K * L + k] + cfg.tau_p * cfg.rho_p
-        assert spent <= earned + 1e-9 * max(earned, 1.0)
+    earned = harvested_energy(p, table)
+    spent = cfg.tau_u * x[K * L:] + cfg.tau_p * cfg.rho_p
+    assert np.all(spent <= earned + 1e-9 * np.maximum(earned, 1.0))
     assert np.all(ap_transmit_powers(p, cache) <= cfg.rho_d + 1e-9)
 
 
@@ -104,7 +110,7 @@ def test_feasible_probe_certifies_target():
     assert x is not None, "solver's own optimum must stay feasible below t_star"
     eta = x[K * L:]
     a_new = optimal_lsfd(eta, se)
-    worst = min(sinr(k, a_new, eta, se) for k in range(K))
+    worst = sinr(a_new, eta, se).min()
     assert worst >= t - 1e-6
 
 
@@ -114,7 +120,7 @@ def test_single_user_feasibility_threshold():
     assert bound > 0.0
     table = energy_coefficient_table(se, cfg)
     p = cfg.rho_d / cache.tr_rhat[0]
-    energy = harvested_energy(0, p[None, :], table)
+    energy = harvested_energy(p[None, :], table)[0]
     eta = np.array([max(0.0, (energy - cfg.tau_p * cfg.rho_p) / cfg.tau_u)])
     a = optimal_lsfd(eta, se)
     below = build_feasibility_lp(0.95 * bound, a, se, cache, table, cfg)
@@ -127,7 +133,42 @@ def test_optimal_lsfd_zero_power_reduces_to_noise_whitening():
     cfg, stats, cache, se = _instance(seed=74)
     a = optimal_lsfd(np.zeros(3), se)
     assert np.allclose(a, se.b / se.D, atol=1e-12)
-    assert sinr(0, a, np.zeros(3), se) == 0.0
+    assert np.all(sinr(a, np.zeros(3), se) == 0.0)
+
+
+def _lsfd_residual(a, eta, se):
+    """Relative residual of (sum_m eta_m C_km + diag D_k) a_k = b_k per UE."""
+    m = np.einsum("m,kmlw->klw", eta, se.C) \
+        + se.D[:, :, None] * np.eye(se.D.shape[1])
+    lhs = np.einsum("klw,kw->kl", m, a)
+    return np.linalg.norm(lhs - se.b, axis=1) / np.linalg.norm(se.b, axis=1)
+
+
+@pytest.mark.parametrize("L", [1, 2, 8, 64])
+def test_optimal_lsfd_residual(L):
+    cfg, stats, cache, se = _instance(seed=90 + L, L=L, N=1)
+    eta = np.random.default_rng(L).uniform(0.1, 1.0, size=3)
+    assert np.all(_lsfd_residual(optimal_lsfd(eta, se), eta, se) <= 1e-10)
+
+
+@given(st.integers(min_value=1, max_value=6),
+       st.integers(min_value=1, max_value=5),
+       st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=10_000))
+def test_optimal_lsfd_residual_property(L, K, N, seed):
+    """Every one of the K stacked systems is solved, whatever K, L."""
+    cfg, stats, cache, se = _instance(seed=seed, L=L, K=K, N=N,
+                                      tau_p=1 + seed % K)
+    eta = np.random.default_rng(seed).uniform(0.0, 2.0, size=K)
+    assert np.all(_lsfd_residual(optimal_lsfd(eta, se), eta, se) <= 1e-10)
+
+
+def test_optimal_lsfd_rejects_not_positive_definite():
+    cfg, stats, cache, se = _instance(seed=87)
+    D = se.D.copy()
+    D[1, 0] = -1e6
+    with pytest.raises(np.linalg.LinAlgError):
+        optimal_lsfd(np.full(3, 0.5), dataclasses.replace(se, D=D))
 
 
 def test_optimal_lsfd_single_ap_is_positive_scalar():
@@ -153,8 +194,8 @@ def test_optimal_lsfd_matches_rank_one_deflated_form():
         assert lhs == pytest.approx(rhs, rel=1e-8)
         a_alt = a.copy()
         a_alt[k] = alt
-        assert sinr(k, a_alt, eta, se) == pytest.approx(
-            sinr(k, a, eta, se), rel=1e-9)
+        assert sinr(a_alt, eta, se)[k] == pytest.approx(
+            sinr(a, eta, se)[k], rel=1e-9)
 
 
 def test_optimal_lsfd_dominates_random_weights():
@@ -162,11 +203,11 @@ def test_optimal_lsfd_dominates_random_weights():
     rng = np.random.default_rng(1)
     eta = rng.uniform(0.1, 1.0, size=3)
     a = optimal_lsfd(eta, se)
-    best = sinr(1, a, eta, se)
+    best = sinr(a, eta, se)[1]
     for _ in range(500):
         trial = a.copy()
         trial[1] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        assert sinr(1, trial, eta, se) <= best * (1.0 + 1e-9)
+        assert sinr(trial, eta, se)[1] <= best * (1.0 + 1e-9)
 
 
 def test_optimal_lsfd_stationarity():
@@ -174,14 +215,14 @@ def test_optimal_lsfd_stationarity():
     rng = np.random.default_rng(2)
     eta = rng.uniform(0.1, 1.0, size=3)
     a = optimal_lsfd(eta, se)
-    base = sinr(2, a, eta, se)
+    base = sinr(a, eta, se)[2]
     norm = np.linalg.norm(a[2])
     for _ in range(50):
         delta = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         delta *= 1e-3 * norm / np.linalg.norm(delta)
         trial = a.copy()
         trial[2] = a[2] + delta
-        assert sinr(2, trial, eta, se) <= base * (1.0 + 1e-5)
+        assert sinr(trial, eta, se)[2] <= base * (1.0 + 1e-5)
 
 
 def test_upper_bound_zero_when_pilot_unaffordable():
@@ -193,6 +234,41 @@ def test_upper_bound_zero_when_pilot_unaffordable():
     assert np.all(res.per_ue_se == 0.0)
     assert np.all(res.allocation.p == 0.0) and np.all(res.allocation.eta == 0.0)
     assert res.trace == ()
+
+
+def _isolation_bound(se, cache, cfg):
+    """The isolation bound written out UE by UE: UE k alone gets every
+    AP's full budget (one-hot p), its weights come from its own linear
+    solve, and its SINR is the scalar ratio of quadratic forms."""
+    K, L = cache.tr_rhat.shape
+    table = energy_coefficient_table(se, cfg)
+    worst = np.inf
+    for k in range(K):
+        p = np.zeros((K, L))
+        p[k] = cfg.rho_d / cache.tr_rhat[k]
+        energy = np.sum(p * table[k])
+        eta = max(0.0, (energy - cfg.tau_p * cfg.rho_p) / cfg.tau_u)
+        m = eta * se.C[k, k] + np.diag(se.D[k])
+        a = np.linalg.solve(m, se.b[k] + 0j)
+        signal = eta * abs(np.vdot(a, se.b[k])) ** 2
+        worst = min(worst, signal / (np.vdot(a, m @ a).real - signal))
+    return worst
+
+
+def test_upper_bound_matches_per_ue_isolation_bound():
+    cfg, stats, cache, se = _instance(seed=88, K=5, L=3, N=2, tau_p=2)
+    want = _isolation_bound(se, cache, cfg)
+    assert want > 0.0
+    assert upper_bound_tmax(se, cache, stats, cfg) == pytest.approx(want, rel=1e-12)
+
+
+def test_upper_bound_matches_per_ue_isolation_bound_on_reference_drop():
+    cfg, prop = load_config(CONFIGS / "reference.cfg")
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
+    stats, cache, se = build_drop(cfg, prop, rng)
+    want = _isolation_bound(se, cache, cfg)
+    assert want > 0.0
+    assert upper_bound_tmax(se, cache, stats, cfg) == pytest.approx(want, rel=1e-12)
 
 
 def test_upper_bound_monotone_in_ap_budget():
@@ -223,15 +299,13 @@ def test_solver_certificates_and_trace():
     assert np.all(ap_transmit_powers(res.allocation.p, cache)
                   <= cfg.rho_d + 1e-9)
     table = energy_coefficient_table(se, cfg)
-    for k in range(3):
-        earned = harvested_energy(k, res.allocation.p, table)
-        spent = cfg.tau_u * res.allocation.eta[k] + cfg.tau_p * cfg.rho_p
-        assert spent <= earned + 1e-9 * max(earned, 1.0)
+    earned = harvested_energy(res.allocation.p, table)
+    spent = cfg.tau_u * res.allocation.eta + cfg.tau_p * cfg.rho_p
+    assert np.all(spent <= earned + 1e-9 * np.maximum(earned, 1.0))
     # Weights are the optimal ones for the returned powers.
     redo = optimal_lsfd(res.allocation.eta, se)
-    for k in range(3):
-        assert sinr(k, redo, res.allocation.eta, se) == pytest.approx(
-            res.per_ue_sinr[k], rel=1e-9)
+    assert np.allclose(sinr(redo, res.allocation.eta, se), res.per_ue_sinr,
+                       rtol=1e-9, atol=0.0)
 
 
 def test_solver_beats_fixed_baseline():

@@ -54,7 +54,7 @@ def test_c_hermitian_and_psd_on_diagonal_block():
 
 def test_noncopilot_cross_ap_terms_vanish():
     cfg, stats, cache, se = _instance(seed=54)
-    pilot_of = stats.plan.pilot_of
+    pilot_of = stats.pilot_of
     off = ~np.eye(cfg.L, dtype=bool)
     for k in range(cfg.K):
         for m in range(cfg.K):
@@ -81,10 +81,26 @@ def test_sinr_scale_invariant_in_weights():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((cfg.K, cfg.L)) + 1j * rng.standard_normal((cfg.K, cfg.L))
     eta = rng.uniform(0.1, 1.0, size=cfg.K)
-    base = sinr(2, a, eta, se)
-    scaled = sinr(2, a * (3.0 - 4.0j), eta, se)
-    assert scaled == pytest.approx(base, rel=1e-12)
-    assert base > 0.0
+    base = sinr(a, eta, se)
+    scaled = sinr(a * (3.0 - 4.0j), eta, se)
+    assert base.shape == (cfg.K,)
+    assert np.allclose(scaled, base, rtol=1e-12, atol=0.0)
+    assert np.all(base > 0.0)
+
+
+def test_sinr_matches_per_ue_quadratic_forms():
+    """Row k of the stacked SINR is UE k's ratio of quadratic forms."""
+    cfg, stats, cache, se = _instance(seed=62)
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((cfg.K, cfg.L)) + 1j * rng.standard_normal((cfg.K, cfg.L))
+    eta = rng.uniform(0.1, 1.0, size=cfg.K)
+    got = sinr(a, eta, se)
+    for k in range(cfg.K):
+        interference = sum(eta[m] * se.C[k, m] for m in range(cfg.K))
+        signal = eta[k] * abs(np.vdot(a[k], se.b[k])) ** 2
+        total = np.vdot(a[k], interference @ a[k]).real \
+            + np.sum(np.abs(a[k]) ** 2 * se.D[k])
+        assert got[k] == pytest.approx(signal / (total - signal), rel=1e-12)
 
 
 def test_sinr_zero_power():
@@ -92,7 +108,7 @@ def test_sinr_zero_power():
     a = np.ones((cfg.K, cfg.L), dtype=complex)
     eta = np.ones(cfg.K)
     eta[1] = 0.0
-    assert sinr(1, a, eta, se) == 0.0
+    assert sinr(a, eta, se)[1] == 0.0
 
 
 def test_sinr_rejects_nonpositive_denominator():
@@ -100,7 +116,7 @@ def test_sinr_rejects_nonpositive_denominator():
     bad = type(se)(b=se.b, C=se.C * 0.0, D=se.D * 0.0)
     a = np.ones((cfg.K, cfg.L), dtype=complex)
     with pytest.raises(ValueError, match="denominator"):
-        sinr(0, a, np.ones(cfg.K), bad)
+        sinr(a, np.ones(cfg.K), bad)
 
 
 def test_spectral_efficiency_prelog():

@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
-from cfwpt.estimation import build_cache
+from cfwpt.channel import sample_pilot_observation, sample_realization
+from cfwpt.estimation import build_cache, lmmse_estimate
 from cfwpt.wit import lsfd_statistics
 from cfwpt.wpt import (
-    ap_transmit_powers,
     harvested_energy,
     harvested_energy_coefficients,
     harvested_energy_oracle,
 )
 
 from test_estimation import _scalar_setup
-from helpers import synthetic_stats
+from helpers import ap_transmit_powers, synthetic_stats
 
 
 def _closed_forms(cfg, stats):
@@ -27,7 +27,7 @@ def test_scalar_closed_form():
     cache, coef = _closed_forms(cfg, stats)
     p = np.array([[0.7]])
     want = cfg.mu * cfg.tau_d * 4.0 * 0.7
-    assert harvested_energy(0, p, coef) == pytest.approx(want)
+    assert harvested_energy(p, coef) == pytest.approx([want])
 
 
 def test_energy_linear_in_power():
@@ -36,18 +36,20 @@ def test_energy_linear_in_power():
     rng = np.random.default_rng(0)
     p1 = rng.uniform(0.0, 1.0, size=(4, 2))
     p2 = rng.uniform(0.0, 1.0, size=(4, 2))
+    e1 = harvested_energy(p1, coef)
+    e2 = harvested_energy(p2, coef)
+    both = harvested_energy(p1 + 3.0 * p2, coef)
+    assert e1.shape == (4,)
+    assert np.allclose(both, e1 + 3.0 * e2, rtol=1e-12, atol=0.0)
+    assert np.all(e1 > 0.0)
     for k in range(4):
-        e1 = harvested_energy(k, p1, coef)
-        e2 = harvested_energy(k, p2, coef)
-        both = harvested_energy(k, p1 + 3.0 * p2, coef)
-        assert both == pytest.approx(e1 + 3.0 * e2, rel=1e-12)
-        assert e1 > 0.0
+        assert e1[k] == pytest.approx(np.sum(p1 * coef[k]), rel=1e-12)
 
 
 def test_coefficients_nonnegative_and_copilot_structure():
     cfg, stats = synthetic_stats(L=2, K=4, N=3, tau_p=2, seed=42)
     cache, table = _closed_forms(cfg, stats)
-    pilot_of = stats.plan.pilot_of
+    pilot_of = stats.pilot_of
     mu_tau = cfg.mu * cfg.tau_d
     assert table.shape == (4, 4, 2)
     for k in range(4):
@@ -75,11 +77,22 @@ def test_orthogonal_pilots_leave_only_matched_filter_terms():
 
 
 def test_ap_transmit_power_definition():
+    """sum_k p_kl tr(Rhat_kl) is the mean power AP l radiates when it
+    beamforms unit-modulus energy symbols along the conjugate estimates."""
     cfg, stats = synthetic_stats(L=3, K=4, N=2, tau_p=2, seed=44)
     cache = build_cache(stats, cfg)
     p = np.random.default_rng(1).uniform(size=(4, 3))
-    manual = [(p[:, l] * cache.tr_rhat[:, l]).sum() for l in range(3)]
-    assert np.allclose(ap_transmit_powers(p, cache), manual)
+    rng = np.random.default_rng(5)
+    n = 40_000
+    real = sample_realization(stats, rng, size=n)
+    ghat = lmmse_estimate(sample_pilot_observation(real, stats, cfg, rng),
+                          cache, cfg)
+    s = np.exp(2j * np.pi * rng.uniform(size=(n, 4, 3)))
+    x = np.einsum("kl,bkln,bkl->bln", np.sqrt(p), ghat.conj(), s)
+    radiated = np.sum(np.abs(x) ** 2, axis=2)           # (n, L)
+    want = ap_transmit_powers(p, cache)
+    err = radiated.std(axis=0) / np.sqrt(n)
+    assert np.all(np.abs(radiated.mean(axis=0) - want) <= 4.0 * err)
 
 
 def test_oracle_agrees_with_closed_form():
@@ -87,8 +100,7 @@ def test_oracle_agrees_with_closed_form():
     cache, coef = _closed_forms(cfg, stats)
     p = np.random.default_rng(2).uniform(0.2, 1.0, size=(3, 2))
     rng = np.random.default_rng(3)
-    for k in range(3):
-        closed = harvested_energy(k, p, coef)
+    for k, closed in enumerate(harvested_energy(p, coef)):
         est, se = harvested_energy_oracle(k, p, cache, stats, cfg,
                                           mc_samples=30_000, rng=rng)
         assert abs(est - closed) <= 4.0 * se, (k, closed, est, se)
@@ -101,4 +113,4 @@ def test_oracle_zero_power_is_exact():
     est, se = harvested_energy_oracle(0, p, cache, stats, cfg,
                                       mc_samples=100, rng=np.random.default_rng(4))
     assert est == 0.0 and se == 0.0
-    assert harvested_energy(0, p, coef) == 0.0
+    assert np.all(harvested_energy(p, coef) == 0.0)
