@@ -2,8 +2,11 @@
 
 Solves "does {A x <= b, x >= 0} have a point?" and returns one when it
 does.  Problem sizes here are tiny (a few hundred variables), so a
-dense tableau with Bland's anti-cycling rule is plenty: deterministic,
-simple to audit, and immune to cycling.
+dense tableau is plenty.  The entering column is the one with the most
+negative reduced cost (Dantzig's rule), which needs far fewer pivots
+than Bland's lowest-index rule; after a run of degenerate pivots the
+rest of the call falls back to Bland's rule, which cannot cycle, so
+every call still terminates.
 
 The raw constraint data spans many orders of magnitude (power
 coefficients around 1e7 against harvested energies around 1e-7), so
@@ -34,12 +37,13 @@ class LPProblem:
         return self.A.shape[1]
 
 
-def lp_feasible(lp, tol=1e-9, max_iter=None):
+def lp_feasible(lp, tol=1e-9, max_iter=None, stall_limit=50):
     """Phase-I simplex: a feasible x (ndarray) or None.
 
     Feasible means the minimized total artificial infeasibility is
-    <= tol in equilibrated units.  Raises SimplexIterationError if the
-    pivot cap is hit.
+    <= tol in equilibrated units.  After stall_limit degenerate pivots
+    in a row, Bland's rule prices the rest of the call (0 means Bland
+    throughout).  Raises SimplexIterationError if the pivot cap is hit.
     """
     A = np.asarray(lp.A, dtype=float)
     b = np.asarray(lp.b, dtype=float)
@@ -87,12 +91,17 @@ def lp_feasible(lp, tol=1e-9, max_iter=None):
     tol_rc = 1e-10
     tol_piv = 1e-11
 
+    stalled = 0                 # degenerate pivots in a row
+    bland = stall_limit <= 0
     for _ in range(max_iter):
         reduced = T[m, :ncols]
         candidates = np.flatnonzero(reduced < -tol_rc)
         if candidates.size == 0:
             break
-        enter = candidates[0]                      # Bland: lowest index
+        if bland:
+            enter = candidates[0]                  # lowest index
+        else:
+            enter = candidates[np.argmin(reduced[candidates])]
         col = T[:m, enter]
         rows = np.flatnonzero(col > tol_piv)
         if rows.size == 0:
@@ -101,11 +110,13 @@ def lp_feasible(lp, tol=1e-9, max_iter=None):
         ratios = T[rows, -1] / col[rows]
         best = ratios.min()
         ties = rows[ratios <= best + tol_piv]
-        leave = ties[np.argmin(basis[ties])]       # Bland again on ties
-        pivot = T[leave, enter]
-        T[leave, :] /= pivot
-        other = np.arange(m + 1) != leave
-        T[other, :] -= np.outer(T[other, enter], T[leave, :])
+        leave = ties[np.argmin(basis[ties])]       # lowest basis index on ties
+        stalled = stalled + 1 if best <= tol_piv else 0
+        bland = bland or stalled >= stall_limit
+        T[leave, :] /= T[leave, enter]
+        factor = T[:, enter].copy()
+        factor[leave] = 0.0
+        T -= np.outer(factor, T[leave, :])
         basis[leave] = enter
     else:
         raise SimplexIterationError(f"no convergence in {max_iter} pivots")

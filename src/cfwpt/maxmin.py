@@ -1,12 +1,15 @@
 """Max-min fair joint power control and decoding-weight selection.
 
-Alternates between an LP feasibility test over the downlink powers
-p_il and uplink powers eta_k (fixed weights), and the closed-form
-optimal fusion weights (fixed powers), bracketing the best worst-case
-SINR t by bisection with bracket doubling after every certified step.
+Alternates between a feasibility test over the downlink powers p_il
+and uplink powers eta_k (fixed weights), and the closed-form optimal
+fusion weights (fixed powers), bracketing the best worst-case SINR t by
+bisection with bracket doubling after every certified step.
 
-LP variable layout, relied on by tests: x = [p, eta] with p flattened
-row-major, so p_il sits at index i*L + l and eta_k at K*L + k.
+With the weights fixed, the least uplink powers that reach t come from
+one linear solve (minimum_uplink_powers), so the LP only asks whether
+the APs can deliver the energy those powers need.  LP variable layout,
+relied on by tests: x = q, AP l's budget share spent on UE i, flattened
+row-major so q_il sits at index i*L + l.
 """
 
 from __future__ import annotations
@@ -58,40 +61,80 @@ def _empty_result(K, L, trace, status):
     )
 
 
-def build_feasibility_lp(t, a, se, cache, energy_coef, cfg):
-    """Inequality system whose feasibility means min-SINR t is reachable.
+def minimum_uplink_powers(t, a, se):
+    """Least uplink powers eta that give every UE an SINR of at least t.
 
-    Rows: per UE k, the SINR target linearized in eta (weights fixed);
-    per AP l, the radiated-power budget; per UE k, harvested energy
-    covering pilot plus uplink spending.  energy_coef is the (K, K, L)
+    With the weights a fixed, SINR_k >= t reads B eta >= t noise, where
+    B = diag((1 + t) gain) - t cross.  Every C_km is PSD, so cross >= 0
+    and B is a Z-matrix.  A positive solution of B eta = t noise (noise
+    > 0) makes B a nonsingular M-matrix, whose inverse is entrywise
+    non-negative, so that eta is the least one reaching t (Yates'
+    standard interference functions).  Otherwise no eta >= 0 reaches
+    t, and None is returned.
+    """
+    K, L = se.b.shape
+    if t == 0.0:
+        return np.zeros(K)
+    a = np.asarray(a, dtype=complex)
+    # cross[k, m] = a_k^H C_km a_k, from two batched products per UE.
+    c_a = (se.C.reshape(K, K * L, L) @ a[:, :, None]).reshape(K, K, L)
+    cross = (c_a @ a.conj()[:, :, None])[..., 0].real
+    gain = np.abs(np.einsum("kl,kl->k", a.conj(), se.b + 0j)) ** 2
+    noise = np.einsum("kl,kl->k", np.abs(a) ** 2, se.D)
+    B = -t * cross
+    B[np.diag_indices(K)] += (1.0 + t) * gain
+    try:
+        eta = np.linalg.solve(B, t * noise)
+    except np.linalg.LinAlgError:
+        return None
+    return eta if np.all(eta > 0.0) else None
+
+
+# Relative margin on the energy rows.  Without it the phase-I vertex sits
+# exactly on the energy boundary, and rounding in the certificate can
+# leave a UE a few ulps short of its need on a feasible drop.
+ENERGY_MARGIN = 1e-9
+
+
+def build_feasibility_lp(eta, cache, energy_coef, cfg):
+    """Inequality system whose feasibility means eta can be paid for.
+
+    Variables: q_il = p_il tr(Rhat_il) / rho_d, the share of AP l's
+    budget spent on UE i.  Rows 0..K-1: UE k harvests its need
+    tau_p rho_p + tau_u eta_k, each row divided by that need.  Rows
+    K..K+L-1: sum_i q_il <= 1 at each AP.  energy_coef is the (K, K, L)
     table from energy_coefficient_table.
     """
     K, L = cache.tr_rhat.shape
-    n = K * L + K
-    A = np.zeros((2 * K + L, n))
-    rhs = np.zeros(2 * K + L)
-
-    a = np.asarray(a, dtype=complex)
-    cross = np.einsum("kl,kmlw,kw->km", a.conj(), se.C, a).real   # (K, K)
-    gain = np.abs(np.einsum("kl,kl->k", a.conj(), se.b + 0j)) ** 2
-    noise = np.einsum("kl,kl->k", np.abs(a) ** 2, se.D)
-
-    # t * sum_m eta_m cross[k, m] - (1 + t) * eta_k gain[k] <= -t * noise[k]
-    A[:K, K * L:] = t * cross
-    A[np.arange(K), K * L + np.arange(K)] -= (1.0 + t) * gain
-    rhs[:K] = -t * noise
-
-    # sum_k p_kl tr(Rhat_kl) <= rho_d at each AP
-    for l in range(L):
-        A[K + l, l:K * L:L] = cache.tr_rhat[:, l]
-    rhs[K:K + L] = cfg.rho_d
-
-    # tau_u eta_k - sum_il coef[k, i, l] p_il <= -tau_p rho_p
-    A[K + L:, :K * L] = -energy_coef.reshape(K, K * L)
-    A[K + L + np.arange(K), K * L + np.arange(K)] = cfg.tau_u
-    rhs[K + L:] = -(cfg.tau_p * cfg.rho_p)
-
+    need = cfg.tau_p * cfg.rho_p + cfg.tau_u * np.asarray(eta, dtype=float)
+    per_share = energy_coef * (cfg.rho_d / cache.tr_rhat)   # dE_k / dq_il
+    A = np.vstack([-per_share.reshape(K, K * L) / need[:, None],
+                   np.tile(np.eye(L), K)])
+    rhs = np.concatenate([np.full(K, -(1.0 + ENERGY_MARGIN)), np.ones(L)])
     return LPProblem(A=A, b=rhs)
+
+
+def _probe(t, a, se, cache, coef, cfg):
+    """A power allocation that can pay for SINR t under weights a, or None.
+
+    The LP point is mapped back to powers with every AP budget clipped
+    to at most rho_d, and the energy is re-evaluated in float: eta is
+    capped at what the harvest covers after the pilot, and the probe
+    fails if some UE cannot even pay for its pilot.  So the returned
+    allocation meets both budgets by construction.
+    """
+    eta = minimum_uplink_powers(t, a, se)
+    if eta is None:
+        return None
+    q = lp_feasible(build_feasibility_lp(eta, cache, coef, cfg))
+    if q is None:
+        return None
+    q = q.reshape(cache.tr_rhat.shape)
+    p = q / np.maximum(1.0, q.sum(axis=0)) * (cfg.rho_d / cache.tr_rhat)
+    spare = harvested_energy(p, coef) - cfg.tau_p * cfg.rho_p
+    if np.any(spare < 0.0):
+        return None
+    return PowerAllocation(p=p, eta=np.minimum(eta, spare / cfg.tau_u))
 
 
 def optimal_lsfd(eta, se):
@@ -138,11 +181,18 @@ def upper_bound_tmax(se, cache, stats, cfg):
     return float(np.min(eta * q / (1.0 - eta * q)))
 
 
-def _certify(x, se, K, L):
-    alloc = PowerAllocation(p=x[:K * L].reshape(K, L).copy(), eta=x[K * L:].copy())
+def _certify(alloc, se):
+    """Optimal weights for alloc and the SINRs they give.
+
+    Raises ValueError if the minimum SINR is not finite, so no solve is
+    reported as solved without a finite certificate.
+    """
     a = optimal_lsfd(alloc.eta, se)
     sinr_k = sinr(a, alloc.eta, se)
-    return alloc, a, sinr_k, float(sinr_k.min())
+    t_star = float(sinr_k.min())
+    if not np.isfinite(t_star):
+        raise ValueError(f"certified minimum SINR {t_star} is not finite")
+    return alloc, a, sinr_k, t_star
 
 
 def solve_maxmin(stats, cache, se, cfg, eps=1e-2, max_iters=200):
@@ -151,12 +201,13 @@ def solve_maxmin(stats, cache, se, cfg, eps=1e-2, max_iters=200):
     Each feasible probe is re-certified with refreshed optimal weights;
     the bracket becomes [t_star, 2 t_star] after every certified step
     (the doubling can re-open a closed bracket, which is why the best
-    certified iterate is remembered and returned).  A probe the LP
-    calls feasible but whose certified value does not advance the
-    bracket closes it from above instead: with exact arithmetic that
-    never happens (feasibility at t certifies at least t), but the
-    float LP can report feasible marginally past the true limit, and
-    re-opening on such probes would keep the loop alive forever.
+    certified iterate is remembered and returned).  A feasible probe
+    whose certified value does not advance the bracket closes it from
+    above instead: with exact arithmetic that never happens
+    (feasibility at t certifies at least t), but in float the probe's
+    uplink powers can fall marginally short of t once capped at the
+    harvest, and re-opening on such probes would keep the loop alive
+    forever.
     Stops once the bracket is narrower than eps or the guard trips.
     """
     K, L = cache.tr_rhat.shape
@@ -178,12 +229,12 @@ def solve_maxmin(stats, cache, se, cfg, eps=1e-2, max_iters=200):
             break
         iters += 1
         t = 0.5 * (t_min + t_max)
-        x = lp_feasible(build_feasibility_lp(t, a, se, cache, coef, cfg))
-        if x is None:
+        alloc = _probe(t, a, se, cache, coef, cfg)
+        if alloc is None:
             trace.append((t, False, None))
             t_max = t
             continue
-        alloc, a, sinr_k, t_star = _certify(x, se, K, L)
+        alloc, a, sinr_k, t_star = _certify(alloc, se)
         if best is None or t_star > best[3]:
             best = (alloc, a, sinr_k, t_star)
         trace.append((t, True, best[3]))
@@ -197,11 +248,11 @@ def solve_maxmin(stats, cache, se, cfg, eps=1e-2, max_iters=200):
     if best is None:
         # Bracket collapsed without one certified point; a plain
         # feasibility check at t = 0 settles solvability.
-        x = lp_feasible(build_feasibility_lp(0.0, a, se, cache, coef, cfg))
-        if x is None:
+        alloc = _probe(0.0, a, se, cache, coef, cfg)
+        if alloc is None:
             trace.append((0.0, False, None))
             return _empty_result(K, L, trace, "infeasible_at_zero")
-        best = _certify(x, se, K, L)
+        best = _certify(alloc, se)
         trace.append((0.0, True, best[3]))
 
     alloc, weights, sinr_k, t_star = best

@@ -44,13 +44,21 @@ def lsfd_statistics(cache, stats, cfg):
     m_mat = cache.psi_inv_r                       # Psi^-1 R per (k, l)
 
     tr_m = np.einsum("klaa->kl", m_mat).real      # tr(Psi_kl^-1 R_kl)
-    quad = np.einsum("mla,klab,mlb->kml", gbar.conj(), m_mat, gbar)
+    # quad[k, m, l] = gbar_ml^H M_kl gbar_ml, with M_kl gbar_ml for all
+    # m from one batched product.
+    quad = np.einsum("mla,klam->kml", gbar.conj(),
+                     m_mat @ gbar.transpose(1, 2, 0))
     quad_self = np.einsum("kkl->kl", quad)        # gbar_kl^H M_kl gbar_kl
 
     b = rho_tau * (quad_self.real + beta * tr_m)
 
-    # Same-AP products E{ghat_kl^H g_ml g_ml^H ghat_kl} for all pairs.
-    tr_rhat_r = np.einsum("klab,mlba->kml", cache.Rhat, cache.R).real
+    # tr(Rhat_kl R_ml) for all pairs.  R is Hermitian, so this is
+    # Re sum_ab Rhat_kl[a, b] conj(R_ml[a, b]): a real dot product of the
+    # float views, batched over APs with no copy of R.
+    rhat_f = cache.Rhat.view(float).reshape(K, L, 2 * N * N)
+    r_f = cache.R.view(float).reshape(K, L, 2 * N * N)
+    tr_rhat_r = (rhat_f.transpose(1, 0, 2) @ r_f.transpose(1, 2, 0)) \
+        .transpose(1, 2, 0)                                   # (K, K, L)
 
     pilot_of = stats.pilot_of
     copilot = pilot_of[:, None] == pilot_of[None, :]

@@ -1,5 +1,6 @@
 """Shared test fixtures: synthetic statistics and an exact LP oracle."""
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -89,12 +90,20 @@ def oracle_feasible(A, b):
     Stacks the nonnegativity rows and enumerates every potential
     vertex (n-subset of rows) in rational arithmetic.  The region
     lives inside the nonnegative orthant, so it is pointed and a
-    nonempty region always contains a vertex.
+    nonempty region always contains a vertex.  Verdicts are cached, so
+    tests that check several pricing rules on the same integer draws
+    enumerate each draw once.
     """
     A = np.asarray(A)
-    m, n = A.shape
-    rows = [[int(v) for v in A[i]] for i in range(m)]
-    rhs = [int(v) for v in b]
+    return _oracle_verdict(tuple(tuple(int(v) for v in row) for row in A),
+                           tuple(int(v) for v in b), A.shape[1])
+
+
+@functools.cache
+def _oracle_verdict(A, b, n):
+    m = len(A)
+    rows = [list(row) for row in A]
+    rhs = list(b)
     for i in range(n):
         rows.append([-1 if j == i else 0 for j in range(n)])
         rhs.append(0)

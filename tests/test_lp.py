@@ -85,6 +85,30 @@ def test_agreement_with_exact_oracle():
         assert got == oracle_feasible(A, b)
 
 
+def test_pure_bland_agrees_with_exact_oracle():
+    """stall_limit=0 prices every pivot by Bland's rule; on criterion 7's
+    draws its verdicts match the exact rational oracle too."""
+    rng = np.random.default_rng(31415)
+    for _ in range(100):
+        A, b = random_int_lp(rng)
+        got = lp_feasible(LPProblem(A=A, b=b), stall_limit=0) is not None
+        assert got == oracle_feasible(A, b)
+
+
+def test_pricing_rules_agree():
+    """Dantzig, Bland, and Bland after a single degenerate pivot give the
+    same verdicts and only feasible points."""
+    rng = np.random.default_rng(577)
+    for _ in range(300):
+        A, b = random_int_lp(rng)
+        lp = LPProblem(A=A, b=b)
+        points = [lp_feasible(lp, stall_limit=s) for s in (0, 1, 50)]
+        assert len({x is None for x in points}) == 1
+        for x in points:
+            if x is not None:
+                _check_point(A, b, x)
+
+
 def test_feasibility_invariant_under_extreme_scaling():
     rng = np.random.default_rng(99)
     for _ in range(20):

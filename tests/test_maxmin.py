@@ -6,13 +6,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cfwpt.cli import build_drop
-from cfwpt.config import load_config, with_overrides
+from cfwpt.config import ScenarioConfig, load_config, with_overrides
 from cfwpt.estimation import build_cache
+from cfwpt.geometry import PropagationModel
 from cfwpt.lp import lp_feasible
+from cfwpt import maxmin
 from cfwpt.maxmin import (
+    ENERGY_MARGIN,
     build_feasibility_lp,
     energy_coefficient_table,
     fpc_baseline,
+    minimum_uplink_powers,
     optimal_lsfd,
     solve_maxmin,
     upper_bound_tmax,
@@ -22,7 +26,8 @@ from cfwpt.wpt import harvested_energy
 
 from helpers import ap_transmit_powers, synthetic_stats
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 
 def _instance(seed=71, **kw):
@@ -58,60 +63,71 @@ def test_energy_table_stacks_per_ue_gradients():
 def test_lp_layout():
     cfg, stats, cache, se = _instance()
     K, L = 3, 2
-    a = np.ones((K, L), dtype=complex)
+    eta = np.array([0.1, 0.2, 0.3])
     table = energy_coefficient_table(se, cfg)
-    lp = build_feasibility_lp(0.3, a, se, cache, table, cfg)
-    assert lp.A.shape == (2 * K + L, K * L + K)
-    assert lp.n == K * L + K
-    # AP power rows touch only the p block, one column stride apart.
+    lp = build_feasibility_lp(eta, cache, table, cfg)
+    assert lp.A.shape == (K + L, K * L)
+    assert lp.n == K * L
+    # Energy rows: dE_k/dq_il = coef[k, i, l] rho_d / tr(Rhat_il), negated
+    # and divided by the need, against a right-hand side just below -1.
+    for k in range(K):
+        need = cfg.tau_p * cfg.rho_p + cfg.tau_u * eta[k]
+        want = table[k] * cfg.rho_d / cache.tr_rhat / need
+        assert np.allclose(lp.A[k], -want.ravel(), rtol=1e-14, atol=0.0)
+    assert np.all(lp.b[:K] == -(1.0 + ENERGY_MARGIN))
+    # AP rows: unit entries on AP l's shares only, one stride L apart.
     for l in range(L):
         row = lp.A[K + l]
-        assert np.allclose(row[l:K * L:L], cache.tr_rhat[:, l])
-        assert np.all(row[K * L:] == 0.0)
+        assert np.all(row[l::L] == 1.0)
         mask = np.ones(K * L, dtype=bool)
-        mask[l:K * L:L] = False
-        assert np.all(row[:K * L][mask] == 0.0)
-    assert np.allclose(lp.b[K:K + L], cfg.rho_d)
-    # Energy rows: tau_u on own eta, negated coefficients on p.
-    for k in range(K):
-        row = lp.A[K + L + k]
-        assert row[K * L + k] == cfg.tau_u
-        assert np.allclose(row[:K * L], -table[k].ravel())
-    assert np.allclose(lp.b[K + L:], -cfg.tau_p * cfg.rho_p)
+        mask[l::L] = False
+        assert np.all(row[mask] == 0.0)
+    assert np.all(lp.b[K:] == 1.0)
+
+
+def _powers(q, cache, cfg):
+    """Budget shares q (flat, i*L + l) back to power coefficients p."""
+    return q.reshape(cache.tr_rhat.shape) * cfg.rho_d / cache.tr_rhat
 
 
 def test_lp_zero_target_needs_pilot_energy():
-    """At t = 0 the SINR rows relax but pilots must still be paid for."""
+    """At t = 0 no uplink power is needed but pilots must still be paid."""
     cfg, stats, cache, se = _instance()
-    K, L = 3, 2
-    a = np.ones((K, L), dtype=complex)
+    a = np.ones((3, 2), dtype=complex)
+    eta = minimum_uplink_powers(0.0, a, se)
+    assert np.array_equal(eta, np.zeros(3))
     table = energy_coefficient_table(se, cfg)
-    lp = build_feasibility_lp(0.0, a, se, cache, table, cfg)
-    assert np.all(lp.A[:K, :K * L] == 0.0)
-    assert np.all(lp.b[:K] == 0.0)
-    x = lp_feasible(lp)
-    assert x is not None
-    p = x[:K * L].reshape(K, L)
+    q = lp_feasible(build_feasibility_lp(eta, cache, table, cfg))
+    assert q is not None
+    p = _powers(q, cache, cfg)
     earned = harvested_energy(p, table)
-    spent = cfg.tau_u * x[K * L:] + cfg.tau_p * cfg.rho_p
-    assert np.all(spent <= earned + 1e-9 * np.maximum(earned, 1.0))
-    assert np.all(ap_transmit_powers(p, cache) <= cfg.rho_d + 1e-9)
+    assert np.all(cfg.tau_p * cfg.rho_p <= earned * (1.0 + 1e-12))
+    assert np.all(ap_transmit_powers(p, cache) <= cfg.rho_d * (1.0 + 1e-9))
 
 
 def test_feasible_probe_certifies_target():
     """A feasible probe re-certifies at least its target after reweighting."""
     cfg, stats, cache, se = _instance(seed=72)
-    K, L = 3, 2
     res = solve_maxmin(stats, cache, se, cfg, eps=1e-3)
     assert res.status == "solved" and res.t_star > 0.0
     t = 0.9 * res.t_star
+    eta = minimum_uplink_powers(t, res.weights, se)
+    assert eta is not None
     table = energy_coefficient_table(se, cfg)
-    x = lp_feasible(build_feasibility_lp(t, res.weights, se, cache, table, cfg))
-    assert x is not None, "solver's own optimum must stay feasible below t_star"
-    eta = x[K * L:]
+    q = lp_feasible(build_feasibility_lp(eta, cache, table, cfg))
+    assert q is not None, "solver's own optimum must stay feasible below t_star"
+    earned = harvested_energy(_powers(q, cache, cfg), table)
+    assert np.all(cfg.tau_u * eta + cfg.tau_p * cfg.rho_p <= earned)
     a_new = optimal_lsfd(eta, se)
     worst = sinr(a_new, eta, se).min()
     assert worst >= t - 1e-6
+
+
+def _probe_feasible(t, a, se, cache, table, cfg):
+    eta = minimum_uplink_powers(t, a, se)
+    if eta is None:
+        return False
+    return lp_feasible(build_feasibility_lp(eta, cache, table, cfg)) is not None
 
 
 def test_single_user_feasibility_threshold():
@@ -123,10 +139,60 @@ def test_single_user_feasibility_threshold():
     energy = harvested_energy(p[None, :], table)[0]
     eta = np.array([max(0.0, (energy - cfg.tau_p * cfg.rho_p) / cfg.tau_u)])
     a = optimal_lsfd(eta, se)
-    below = build_feasibility_lp(0.95 * bound, a, se, cache, table, cfg)
-    above = build_feasibility_lp(1.05 * bound, a, se, cache, table, cfg)
-    assert lp_feasible(below) is not None
-    assert lp_feasible(above) is None
+    assert _probe_feasible(0.95 * bound, a, se, cache, table, cfg)
+    assert not _probe_feasible(1.05 * bound, a, se, cache, table, cfg)
+
+
+def _sinr_terms(a, se):
+    """cross[k, m] = a_k^H C_km a_k, gain_k = |a_k^H b_k|^2 and
+    noise_k = sum_l |a_kl|^2 D_kl, written out UE by UE."""
+    K = se.b.shape[0]
+    cross = np.array([[np.vdot(a[k], se.C[k, m] @ a[k]).real
+                       for m in range(K)] for k in range(K)])
+    gain = np.array([abs(np.vdot(a[k], se.b[k])) ** 2 for k in range(K)])
+    noise = np.array([np.sum(np.abs(a[k]) ** 2 * se.D[k]) for k in range(K)])
+    return cross, gain, noise
+
+
+def test_minimum_uplink_powers_solve_the_sinr_equalities():
+    cfg, stats, cache, se = _instance(seed=89, K=4, L=3, N=2, tau_p=2)
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    t = 0.05
+    eta = minimum_uplink_powers(t, a, se)
+    assert eta is not None and np.all(eta > 0.0)
+    cross, gain, noise = _sinr_terms(a, se)
+    B = np.diag((1.0 + t) * gain) - t * cross
+    assert np.all(B[~np.eye(4, dtype=bool)] <= 0.0), "B must be a Z-matrix"
+    resid = np.linalg.norm(B @ eta - t * noise) / np.linalg.norm(t * noise)
+    assert resid <= 1e-12
+    # Every UE sits exactly at the target, and lowering any one power
+    # drops that UE below it: no smaller eta reaches t.
+    assert np.allclose(sinr(a, eta, se), t, rtol=1e-10, atol=0.0)
+    for k in range(4):
+        lower = eta.copy()
+        lower[k] *= 1.0 - 1e-6
+        assert sinr(a, lower, se)[k] < t
+
+
+def test_minimum_uplink_powers_zero_target():
+    cfg, stats, cache, se = _instance(seed=90)
+    a = np.ones((3, 2), dtype=complex)
+    assert np.array_equal(minimum_uplink_powers(0.0, a, se), np.zeros(3))
+
+
+def test_minimum_uplink_powers_none_above_single_user_bound():
+    """Alone, a UE's SINR under fixed weights rises with eta towards
+    gain / (cross - gain) and never reaches it; no eta does past it."""
+    cfg, stats, cache, se = _instance(seed=91, K=1, L=2, N=2, tau_p=1)
+    a = np.array([[1.0 + 0.5j, -0.3 + 1.0j]])
+    cross, gain, noise = _sinr_terms(a, se)
+    limit = gain[0] / (cross[0, 0] - gain[0])
+    assert np.isfinite(limit) and limit > 0.0
+    below = minimum_uplink_powers(0.99 * limit, a, se)
+    assert below is not None
+    assert sinr(a, below, se)[0] == pytest.approx(0.99 * limit, rel=1e-10)
+    assert minimum_uplink_powers(1.01 * limit, a, se) is None
 
 
 def test_optimal_lsfd_zero_power_reduces_to_noise_whitening():
@@ -346,3 +412,49 @@ def test_fpc_single_user_gets_everything():
     cfg, stats, cache, se = _instance(seed=86, K=1, tau_p=1)
     fpc = fpc_baseline(stats, cache, se, cfg)
     assert np.allclose(fpc.allocation.p, cfg.rho_d / cache.tr_rhat, rtol=1e-12)
+
+
+def _budget_shortfall(res, cache, se, cfg):
+    """Largest relative excess over the AP budgets and the energy needs."""
+    alloc = res.allocation
+    ap = ap_transmit_powers(alloc.p, cache) / cfg.rho_d - 1.0
+    need = cfg.tau_u * alloc.eta + cfg.tau_p * cfg.rho_p
+    earned = harvested_energy(alloc.p, energy_coefficient_table(se, cfg))
+    return float(ap.max()), float(np.max((need - earned) / need))
+
+
+@pytest.mark.parametrize("seed, drop, zero", [(1908044596, 2, False),
+                                              (81740114, 3, True)])
+def test_solved_allocations_meet_both_budgets(seed, drop, zero):
+    """Two large-array drops on which a solve once came back `solved`
+    with a UE harvesting up to 1% less than it spends.  The second one
+    can only pay its pilots (pilot margin 1.0019), so it is solved at
+    t* = 0."""
+    cfg, prop = load_config(ROOT / "perfbench" / "large_array.cfg")
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(drop,)))
+    stats, cache, se = build_drop(cfg, prop, rng)
+    res = solve_maxmin(stats, cache, se, cfg)
+    assert res.status == "solved"
+    assert (res.t_star == 0.0) == zero
+    ap, energy = _budget_shortfall(res, cache, se, cfg)
+    assert ap <= 1e-12 and energy <= 1e-12
+
+
+def test_tight_pilot_margin_setup_is_solved():
+    """Setup 28 of criterion 4 pays its pilots with a margin of 1.0072; a
+    phase-I vertex right on the energy boundary once lost it to rounding."""
+    cfg = with_overrides(ScenarioConfig(), L=4, K=4, N=4, tau_p=2,
+                         tau_d=25, tau_u=173)
+    rng = np.random.default_rng(np.random.SeedSequence(424242, spawn_key=(28,)))
+    stats, cache, se = build_drop(cfg, PropagationModel(), rng)
+    res = solve_maxmin(stats, cache, se, cfg, eps=1e-4)
+    assert res.status == "solved"
+    ap, energy = _budget_shortfall(res, cache, se, cfg)
+    assert ap <= 1e-12 and energy <= 1e-12
+
+
+def test_non_finite_certificate_fails_loudly(monkeypatch):
+    cfg, stats, cache, se = _instance(seed=92)
+    monkeypatch.setattr(maxmin, "sinr", lambda a, eta, se: np.full(3, np.nan))
+    with pytest.raises(ValueError, match="not finite"):
+        solve_maxmin(stats, cache, se, cfg)
