@@ -10,13 +10,14 @@ dominate; this script quantifies by how much.
 import argparse
 import sys
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from cfwpt.cli import build_drop
-from cfwpt.config import ScenarioConfig, with_overrides
+from cfwpt.config import ScenarioConfig
 from cfwpt.geometry import PropagationModel
 from cfwpt.maxmin import solve_maxmin
 
@@ -47,7 +48,7 @@ def main():
                     help="bisection gap for the inner solver")
     args = ap.parse_args()
 
-    base = with_overrides(ScenarioConfig(), K=8, tau_p=4, tau_d=25, tau_u=171)
+    base = ScenarioConfig(K=8, tau_p=4, tau_d=25, tau_u=171)
     prop = PropagationModel()
 
     print(f"{'L':>4s} {'N':>4s} {'rho_d':>8s} {'solved':>7s} "
@@ -57,7 +58,7 @@ def main():
             print(f"{L:>4d}    skipped: {L} does not divide {args.antennas}")
             continue
         N = args.antennas // L
-        cfg = with_overrides(base, L=L, N=N, rho_d=args.power / L)
+        cfg = replace(base, L=L, N=N, rho_d=args.power / L)
         mins, solved = sweep_arm(cfg, prop, args.setups, args.seed, args.eps)
         q10, q50, q90 = np.quantile(mins, [0.1, 0.5, 0.9])
         print(f"{L:>4d} {N:>4d} {cfg.rho_d:>8.4f} {solved:>4d}/{args.setups:<2d} "

@@ -1,8 +1,8 @@
 """Per-block channel realizations and pilot-phase observations.
 
 This is the Monte Carlo substrate the closed-form expressions are
-validated against.  Sampling supports an optional leading batch axis so
-oracles can draw tens of thousands of blocks in one vectorized call.
+validated against.  Sampling supports an optional leading batch axis, and
+draw_estimates feeds both oracles MC_BATCH blocks at a time.
 """
 
 from __future__ import annotations
@@ -10,6 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .estimation import lmmse_estimate
+
+MC_BATCH = 10_000   # blocks drawn per vectorized oracle step
 
 
 @dataclass(frozen=True)
@@ -65,3 +69,31 @@ def sample_pilot_observation(real, stats, cfg, rng):
         if members.size:
             z_by_pilot[..., t, :, :] += scale * g[..., members, :, :].sum(axis=-3)
     return z_by_pilot[..., stats.pilot_of, :, :]
+
+
+def draw_estimates(stats, cache, cfg, mc_samples, rng):
+    """Yield (g, ghat) batches of joint channel and estimate draws.
+
+    Each batch of at most MC_BATCH blocks draws the realizations, then
+    their pilot observations, from rng; a consumer that draws more
+    (energy symbols) before asking for the next batch keeps that order.
+    g and ghat have shape (batch, K, L, N).
+    """
+    done = 0
+    while done < mc_samples:
+        n = min(MC_BATCH, mc_samples - done)
+        real = sample_realization(stats, rng, size=n)
+        z = sample_pilot_observation(real, stats, cfg, rng)
+        yield real.g, lmmse_estimate(z, cache, cfg)
+        done += n
+
+
+def mean_and_stderr(total, total_sq, mc_samples):
+    """Sample mean and standard error from a sum and a sum of |.|^2.
+
+    The variance is the total (real + imaginary) one, so |estimate -
+    truth| / stderr is a proper z-score for complex entries too.
+    """
+    mean = total / mc_samples
+    var = np.maximum(total_sq / mc_samples - np.abs(mean) ** 2, 0.0)
+    return mean, np.sqrt(var / mc_samples)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 class ConfigError(ValueError):
@@ -136,8 +136,3 @@ def load_config(path):
     cfg = ScenarioConfig(**cfg_kwargs)
     prop = PropagationModel(**prop_kwargs)
     return cfg, prop
-
-
-def with_overrides(cfg, **kwargs):
-    """Copy a config with some fields replaced, revalidating invariants."""
-    return replace(cfg, **kwargs)

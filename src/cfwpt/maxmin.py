@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .lp import LPProblem, lp_feasible
-from .wit import sinr, spectral_efficiency
+from .wit import sinr, sinr_terms, spectral_efficiency
 from .wpt import PowerAllocation, harvested_energy
 # The energy table, also bound under its maxmin name, which perfbench's
 # per-layer timing traces.
@@ -72,17 +72,11 @@ def minimum_uplink_powers(t, a, se):
     standard interference functions).  Otherwise no eta >= 0 reaches
     t, and None is returned.
     """
-    K, L = se.b.shape
     if t == 0.0:
-        return np.zeros(K)
-    a = np.asarray(a, dtype=complex)
-    # cross[k, m] = a_k^H C_km a_k, from two batched products per UE.
-    c_a = (se.C.reshape(K, K * L, L) @ a[:, :, None]).reshape(K, K, L)
-    cross = (c_a @ a.conj()[:, :, None])[..., 0].real
-    gain = np.abs(np.einsum("kl,kl->k", a.conj(), se.b + 0j)) ** 2
-    noise = np.einsum("kl,kl->k", np.abs(a) ** 2, se.D)
+        return np.zeros(se.b.shape[0])
+    gain, cross, noise = sinr_terms(a, se)
     B = -t * cross
-    B[np.diag_indices(K)] += (1.0 + t) * gain
+    B[np.diag_indices_from(B)] += (1.0 + t) * gain
     try:
         eta = np.linalg.solve(B, t * noise)
     except np.linalg.LinAlgError:

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import sample_realization, sample_pilot_observation
-from .estimation import lmmse_estimate
+from .channel import draw_estimates, mean_and_stderr
 
 
 @dataclass(frozen=True)
@@ -83,19 +82,30 @@ def lsfd_statistics(cache, stats, cfg):
     return SEStatistics(b=b, C=C, D=D)
 
 
-def sinr(a, eta, se):
-    """Effective uplink SINR of every UE under weights a and powers eta.
+def sinr_terms(a, se):
+    """The quadratic forms of every UE's SINR under the weights a.
 
-    a is the (K, L) complex weight array, row k decoding UE k; returns
-    the (K,) SINRs.
+    a is the (K, L) complex weight array, row k decoding UE k.  Returns
+    (gain, cross, noise): gain[k] = |a_k^H b_k|^2, cross[k, m] =
+    a_k^H C_km a_k and noise[k] = sum_l |a_kl|^2 D_kl, so that
+    SINR_k = eta_k gain_k / (sum_m eta_m cross_km - eta_k gain_k + noise_k).
     """
-    a = np.asarray(a)
+    K, L = se.b.shape
+    a = np.asarray(a, dtype=complex)
+    # cross[k, m] from two batched products per UE.
+    c_a = (se.C.reshape(K, K * L, L) @ a[:, :, None]).reshape(K, K, L)
+    cross = (c_a @ a.conj()[:, :, None])[..., 0].real
+    gain = np.abs(np.einsum("kl,kl->k", a.conj(), se.b + 0j)) ** 2
+    noise = np.einsum("kl,kl->k", np.abs(a) ** 2, se.D)
+    return gain, cross, noise
+
+
+def sinr(a, eta, se):
+    """(K,) effective uplink SINRs under weights a and powers eta."""
     eta = np.asarray(eta, dtype=float)
-    interference = np.einsum("m,kmij->kij", eta, se.C)
-    quad = np.einsum("ki,kij,kj->k", a.conj(), interference, a).real
-    signal = eta * np.abs(np.einsum("ki,ki->k", a.conj(), se.b)) ** 2
-    noise = np.einsum("ki,ki->k", np.abs(a) ** 2, se.D)
-    denom = quad - signal + noise
+    gain, cross, noise = sinr_terms(a, se)
+    signal = eta * gain
+    denom = cross @ eta - signal + noise
     bad = np.flatnonzero(denom <= 0.0)
     if bad.size:
         raise ValueError(f"SINR denominator {denom[bad[0]]} <= 0 for UE "
@@ -118,15 +128,13 @@ class SEOracleEstimates:
     D_se: np.ndarray   # (K, L) real
 
 
-def se_statistics_oracle(cache, stats, cfg, mc_samples, rng,
-                         batch=10_000):
+def se_statistics_oracle(cache, stats, cfg, mc_samples, rng):
     """Monte Carlo estimate of b, C, D from their defining moments.
 
     Draws joint (channel, estimate) realizations and averages
     ghat_kl^H g_kl, the per-AP products ghat_kl^H g_ml g_ml'^H ghat_kl'
-    and sigma^2 ||ghat_kl||^2.  Standard errors use the total (real +
-    imaginary) sample variance, so |estimate - closed_form| / se is a
-    proper z-score for complex entries too.
+    and sigma^2 ||ghat_kl||^2, each with the standard error of
+    channel.mean_and_stderr.
     """
     K, L, _ = stats.gbar.shape
     b_sum = np.zeros((K, L), dtype=complex)
@@ -136,34 +144,25 @@ def se_statistics_oracle(cache, stats, cfg, mc_samples, rng,
     d_sum = np.zeros((K, L))
     d_sq = np.zeros((K, L))
 
-    done = 0
     kk = np.arange(K)
-    while done < mc_samples:
-        n = min(batch, mc_samples - done)
-        real = sample_realization(stats, rng, size=n)
-        z = sample_pilot_observation(real, stats, cfg, rng)
-        ghat = lmmse_estimate(z, cache, cfg)
-
-        x = np.einsum("bkln,bmln->bkml", ghat.conj(), real.g)
+    for g, ghat in draw_estimates(stats, cache, cfg, mc_samples, rng):
+        x = np.einsum("bkln,bmln->bkml", ghat.conj(), g)
         y_b = x[:, kk, kk, :]
-        v = x[:, :, :, :, None] * x[:, :, :, None, :].conj()
         y_d = cfg.sigma2 * np.einsum("bkln,bkln->bkl", ghat, ghat.conj()).real
+        # Sums over the draws of x_l conj(x_l') and |x_l|^2 |x_l'|^2 as
+        # batched (L, batch) @ (batch, L) products, draws on the last axis.
+        xt = np.ascontiguousarray(np.moveaxis(x, 0, -1))
+        x_sq = np.abs(xt) ** 2
 
         b_sum += y_b.sum(axis=0)
         b_sq += (np.abs(y_b) ** 2).sum(axis=0)
-        c_sum += v.sum(axis=0)
-        c_sq += (np.abs(v) ** 2).sum(axis=0)
+        c_sum += xt @ xt.conj().swapaxes(-1, -2)
+        c_sq += x_sq @ x_sq.swapaxes(-1, -2)
         d_sum += y_d.sum(axis=0)
         d_sq += (y_d ** 2).sum(axis=0)
-        done += n
 
-    def _finish(s, sq):
-        mean = s / mc_samples
-        var = np.maximum(sq / mc_samples - np.abs(mean) ** 2, 0.0)
-        return mean, np.sqrt(var / mc_samples)
-
-    b_est, b_se = _finish(b_sum, b_sq)
-    c_est, c_se = _finish(c_sum, c_sq)
-    d_est, d_se = _finish(d_sum, d_sq)
+    b_est, b_se = mean_and_stderr(b_sum, b_sq, mc_samples)
+    c_est, c_se = mean_and_stderr(c_sum, c_sq, mc_samples)
+    d_est, d_se = mean_and_stderr(d_sum, d_sq, mc_samples)
     return SEOracleEstimates(b=b_est, b_se=b_se, C=c_est, C_se=c_se,
-                             D=d_est.real, D_se=d_se)
+                             D=d_est, D_se=d_se)

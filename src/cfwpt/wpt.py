@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import sample_realization, sample_pilot_observation
-from .estimation import lmmse_estimate
+from .channel import draw_estimates, mean_and_stderr
 
 
 @dataclass(frozen=True)
@@ -50,38 +49,27 @@ def harvested_energy(p, coef):
     return np.einsum("kil,il->k", coef, np.asarray(p, dtype=float))
 
 
-def harvested_energy_oracle(k, p, cache, stats, cfg, mc_samples, rng,
-                            batch=20_000):
-    """Monte Carlo estimate of UE k's harvested energy.
+def harvested_energy_oracle(p, cache, stats, cfg, mc_samples, rng):
+    """Monte Carlo estimate of every UE's harvested energy, from one pass.
 
     Draws joint (channel, pilot observation, energy symbol) realizations
-    and averages mu tau_d |sum_il sqrt(p_il) ghat_il^H g_kl s_il|^2.
-    Energy symbols are unit-modulus with uniform phase (zero mean, unit
-    variance, minimal oracle variance).  Harvester noise is neglected.
+    and averages mu tau_d |sum_il sqrt(p_il) ghat_il^H g_kl s_il|^2 for
+    all K UEs on the same draws.  Energy symbols are unit-modulus with
+    uniform phase (zero mean, unit variance, minimal oracle variance).
+    Harvester noise is neglected.
 
-    Returns (estimate, standard_error).
+    Returns the (K,) estimates and their (K,) standard errors.
     """
-    p = np.asarray(p, dtype=float)
-    sqrt_p = np.sqrt(p)
-    mu_tau = cfg.mu * cfg.tau_d
-
+    sqrt_p = np.sqrt(np.asarray(p, dtype=float))
     total = 0.0
     total_sq = 0.0
-    done = 0
-    while done < mc_samples:
-        n = min(batch, mc_samples - done)
-        real = sample_realization(stats, rng, size=n)
-        z = sample_pilot_observation(real, stats, cfg, rng)
-        ghat = lmmse_estimate(z, cache, cfg)
-        s = np.exp(2j * np.pi * rng.uniform(size=(n, cfg.K, cfg.L)))
-        # inner[b, i, l] = ghat_il^H g_kl for draw b
-        inner = np.einsum("biln,bln->bil", ghat.conj(), real.g[:, k])
-        r = np.einsum("bil,il,bil->b", inner, sqrt_p, s)
-        y = mu_tau * np.abs(r) ** 2
-        total += float(y.sum())
-        total_sq += float((y ** 2).sum())
-        done += n
-
-    mean = total / mc_samples
-    var = max(total_sq / mc_samples - mean ** 2, 0.0)
-    return mean, float(np.sqrt(var / mc_samples))
+    for g, ghat in draw_estimates(stats, cache, cfg, mc_samples, rng):
+        n, K, L, _ = g.shape
+        s = np.exp(2j * np.pi * rng.uniform(size=(n, K, L)))
+        # x[b, l] = sum_i sqrt(p_il) s_il conj(ghat_il): what AP l radiates.
+        x = np.einsum("bil,biln->bln", sqrt_p * s, ghat.conj())
+        r = (g.reshape(n, K, -1) @ x.reshape(n, -1, 1))[..., 0]
+        y = cfg.mu * cfg.tau_d * np.abs(r) ** 2
+        total += y.sum(axis=0)
+        total_sq += (y ** 2).sum(axis=0)
+    return mean_and_stderr(total, total_sq, mc_samples)

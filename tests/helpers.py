@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from cfwpt.config import ScenarioConfig, with_overrides
+from cfwpt.config import ScenarioConfig
 from cfwpt.geometry import ChannelStatistics, assign_pilots
 
 
@@ -22,7 +22,7 @@ def synthetic_stats(L, K, N, tau_p, seed, **overrides):
                   tau_u=200 - tau_p - 25,
                   rho_p=0.5, rho_d=2.0, sigma2=0.3, mu=0.8)
     params.update(overrides)
-    cfg = with_overrides(ScenarioConfig(), **params)
+    cfg = ScenarioConfig(**params)
     beta = rng.uniform(0.1, 2.0, size=(K, L))
     gbar = (rng.standard_normal((K, L, N))
             + 1j * rng.standard_normal((K, L, N))) * 0.7

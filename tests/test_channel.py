@@ -1,6 +1,12 @@
 import numpy as np
 
-from cfwpt.channel import sample_pilot_observation, sample_realization
+from cfwpt.channel import (
+    MC_BATCH,
+    draw_estimates,
+    mean_and_stderr,
+    sample_pilot_observation,
+    sample_realization,
+)
 from cfwpt.estimation import build_cache, lmmse_estimate
 
 from helpers import rebuilt_psi, synthetic_stats
@@ -77,3 +83,26 @@ def test_estimate_covariance_matches_rhat():
     emp = (h[:, :, None] * h.conj()[:, None, :]).mean(axis=0)
     want = cache.Rhat[1, 0]
     assert np.abs(emp - want).max() < 0.05 * np.abs(want).max()
+
+
+def test_draw_estimates_batches_and_order():
+    """Batches of MC_BATCH blocks plus a short last one, each drawn as
+    realization, then pilot observation, then the LMMSE estimate."""
+    cfg, stats = synthetic_stats(L=1, K=2, N=2, tau_p=1, seed=35)
+    cache = build_cache(stats, cfg)
+    batches = list(draw_estimates(stats, cache, cfg, MC_BATCH + 3,
+                                  np.random.default_rng(9)))
+    assert [g.shape[0] for g, _ in batches] == [MC_BATCH, 3]
+    rng = np.random.default_rng(9)
+    real = sample_realization(stats, rng, size=MC_BATCH)
+    z = sample_pilot_observation(real, stats, cfg, rng)
+    assert np.array_equal(batches[0][0], real.g)
+    assert np.array_equal(batches[0][1], lmmse_estimate(z, cache, cfg))
+
+
+def test_mean_and_stderr_total_variance():
+    """Complex samples: the variance adds the real and imaginary parts."""
+    y = np.array([1.0 + 1.0j, -1.0 + 1.0j, 1.0 - 1.0j, -1.0 - 1.0j])
+    mean, err = mean_and_stderr(y.sum(), (np.abs(y) ** 2).sum(), y.size)
+    assert mean == 0.0
+    assert err == np.sqrt(2.0 / 4)

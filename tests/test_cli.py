@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,9 @@ from cfwpt.cli import (
     run_optimize,
     run_validate,
 )
-from cfwpt.config import ScenarioConfig, load_config, with_overrides
+from cfwpt.config import ScenarioConfig, load_config
 from cfwpt.geometry import PropagationModel
+from cfwpt.wpt import harvested_energy
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -164,17 +166,19 @@ def test_validate_passes_on_small_instance(capsys):
     assert len(quantity_lines) == 4
 
 
-def test_validate_detects_corruption(capsys):
+def test_validate_detects_corruption(capsys, monkeypatch):
+    """A closed-form energy biased by 5% must fail the comparison."""
+    monkeypatch.setattr("cfwpt.cli.harvested_energy",
+                        lambda p, coef: 1.05 * harvested_energy(p, coef))
     cfg = _small_default_config()
-    code = run_validate(cfg, PropagationModel(), mc_samples=10_000, seed=4,
-                        corrupt=True)
+    code = run_validate(cfg, PropagationModel(), mc_samples=10_000, seed=4)
     out = capsys.readouterr().out
     assert code == 1
     assert "validation FAILED" in out
 
 
 def test_validate_zero_efficiency_trivially_passes(capsys):
-    cfg = with_overrides(_small_default_config(), mu=0.0)
+    cfg = replace(_small_default_config(), mu=0.0)
     code = run_validate(cfg, PropagationModel(), mc_samples=2_000, seed=3)
     assert code == 0
     assert "validation PASSED" in capsys.readouterr().out

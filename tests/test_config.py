@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -7,7 +8,6 @@ from cfwpt.config import (
     ScenarioConfig,
     dbm_to_watt,
     load_config,
-    with_overrides,
 )
 from cfwpt.geometry import PropagationModel
 
@@ -79,12 +79,13 @@ def test_propagation_validation_rejects(bad):
 
 
 def test_with_overrides_revalidates():
+    """dataclasses.replace runs __post_init__, so a copy is checked too."""
     cfg = ScenarioConfig()
-    small = with_overrides(cfg, L=2, K=3, N=2)
+    small = replace(cfg, L=2, K=3, N=2)
     assert (small.L, small.K, small.N) == (2, 3, 2)
     assert cfg.L == 16, "original must stay frozen"
     with pytest.raises(ConfigError):
-        with_overrides(cfg, mu=2.0)
+        replace(cfg, mu=2.0)
 
 
 def test_load_config_round_trip(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cfwpt.config import ScenarioConfig, with_overrides
+from cfwpt.config import ScenarioConfig
 from cfwpt.estimation import build_cache, lmmse_estimate
 from cfwpt.geometry import ChannelStatistics, assign_pilots
 
@@ -12,18 +12,18 @@ from helpers import direct_rhat, rebuilt_psi, synthetic_stats
 
 
 def test_round_robin_assignment():
-    cfg = with_overrides(ScenarioConfig(), K=5, tau_p=2, tau_d=25, tau_u=173)
+    cfg = ScenarioConfig(K=5, tau_p=2, tau_d=25, tau_u=173)
     assert assign_pilots(cfg).tolist() == [0, 1, 0, 1, 0]
 
 
 def test_orthogonal_when_enough_pilots():
-    cfg = with_overrides(ScenarioConfig(), K=4, tau_p=5)
+    cfg = ScenarioConfig(K=4, tau_p=5)
     assert assign_pilots(cfg).tolist() == [0, 1, 2, 3]
 
 
 def _scalar_setup():
     """Single link with unit LOS and unit scattering: R = 2."""
-    cfg = with_overrides(ScenarioConfig(), L=1, K=1, N=1,
+    cfg = ScenarioConfig(L=1, K=1, N=1,
                          tau_p=1, tau_d=25, tau_u=174,
                          rho_p=1.0, sigma2=1.0)
     stats = ChannelStatistics(

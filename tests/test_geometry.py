@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cfwpt.config import ScenarioConfig, with_overrides
+from cfwpt.config import ScenarioConfig
 from cfwpt.geometry import (
     BETA_FLOOR,
     NetworkGeometry,
@@ -37,7 +37,7 @@ def _pathloss_db(prop, d, los):
     the path loss alone.
     """
     d = np.asarray(d, dtype=float)
-    cfg = with_overrides(ScenarioConfig(), L=1, K=d.size, N=1, tau_p=1,
+    cfg = ScenarioConfig(L=1, K=d.size, N=1, tau_p=1,
                          tau_d=25, tau_u=174)
     geom = NetworkGeometry(ap_positions=np.zeros((1, 2)),
                            ue_positions=np.column_stack([d, np.zeros_like(d)]),
@@ -86,13 +86,13 @@ def test_grid_placement_16():
 
 
 def test_grid_placement_single_ap():
-    cfg = with_overrides(ScenarioConfig(), L=1, K=2)
+    cfg = ScenarioConfig(L=1, K=2)
     geom = place_network(cfg, np.random.default_rng(0))
     assert np.allclose(geom.ap_positions, [[50.0, 50.0]])
 
 
 def test_non_square_l_falls_back_to_random():
-    cfg = with_overrides(ScenarioConfig(), L=8)
+    cfg = ScenarioConfig(L=8)
     a = place_network(cfg, np.random.default_rng(1)).ap_positions
     b = place_network(cfg, np.random.default_rng(2)).ap_positions
     assert a.shape == (8, 2)
@@ -101,7 +101,7 @@ def test_non_square_l_falls_back_to_random():
 
 
 def test_random_placement_is_deterministic_per_seed():
-    cfg = with_overrides(ScenarioConfig(), ap_placement="random")
+    cfg = ScenarioConfig(ap_placement="random")
     a = place_network(cfg, np.random.default_rng(7))
     b = place_network(cfg, np.random.default_rng(7))
     assert np.array_equal(a.ap_positions, b.ap_positions)
@@ -111,7 +111,7 @@ def test_random_placement_is_deterministic_per_seed():
 def _small_cfg(**kw):
     base = dict(L=4, K=6, N=3, tau_p=2, tau_d=25, tau_u=173)
     base.update(kw)
-    return with_overrides(ScenarioConfig(), **base)
+    return ScenarioConfig(**base)
 
 
 def test_draw_link_statistics_shapes_and_plan():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cfwpt.cli import build_drop
-from cfwpt.config import ScenarioConfig, load_config, with_overrides
+from cfwpt.config import ScenarioConfig, load_config
 from cfwpt.estimation import build_cache
 from cfwpt.geometry import PropagationModel
 from cfwpt.lp import lp_feasible
@@ -340,7 +340,7 @@ def test_upper_bound_matches_per_ue_isolation_bound_on_reference_drop():
 def test_upper_bound_monotone_in_ap_budget():
     cfg, stats, cache, se = _instance(seed=80)
     low = upper_bound_tmax(se, cache, stats, cfg)
-    rich = with_overrides(cfg, rho_d=2.0 * cfg.rho_d)
+    rich = dataclasses.replace(cfg, rho_d=2.0 * cfg.rho_d)
     high = upper_bound_tmax(se, cache, stats, rich)
     assert high >= low - 1e-12
 
@@ -443,7 +443,7 @@ def test_solved_allocations_meet_both_budgets(seed, drop, zero):
 def test_tight_pilot_margin_setup_is_solved():
     """Setup 28 of criterion 4 pays its pilots with a margin of 1.0072; a
     phase-I vertex right on the energy boundary once lost it to rounding."""
-    cfg = with_overrides(ScenarioConfig(), L=4, K=4, N=4, tau_p=2,
+    cfg = ScenarioConfig(L=4, K=4, N=4, tau_p=2,
                          tau_d=25, tau_u=173)
     rng = np.random.default_rng(np.random.SeedSequence(424242, spawn_key=(28,)))
     stats, cache, se = build_drop(cfg, PropagationModel(), rng)

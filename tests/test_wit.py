@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cfwpt.channel import MC_BATCH, draw_estimates, mean_and_stderr
 from cfwpt.estimation import build_cache
 from cfwpt.wit import lsfd_statistics, se_statistics_oracle, sinr, spectral_efficiency
 
@@ -140,3 +141,22 @@ def test_monte_carlo_oracle_agrees():
         diff = np.abs(mean - closed)
         ok = diff <= 4.0 * err + 1e-12
         assert ok.all(), (name, diff.max(), err.max())
+
+
+def test_oracle_c_moments_match_explicit_products():
+    """C's batched sums equal the explicit (batch, K, K, L, L) products."""
+    cfg, stats, cache, se = _instance(seed=62, L=3, K=3, N=2)
+    samples = MC_BATCH + 700
+    est = se_statistics_oracle(cache, stats, cfg, samples,
+                               np.random.default_rng(8))
+    c_sum = 0.0
+    c_sq = 0.0
+    for g, ghat in draw_estimates(stats, cache, cfg, samples,
+                                  np.random.default_rng(8)):
+        x = np.einsum("bkln,bmln->bkml", ghat.conj(), g)
+        v = x[:, :, :, :, None] * x[:, :, :, None, :].conj()
+        c_sum += v.sum(axis=0)
+        c_sq += (np.abs(v) ** 2).sum(axis=0)
+    mean, err = mean_and_stderr(c_sum, c_sq, samples)
+    np.testing.assert_allclose(est.C, mean, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(est.C_se, err, rtol=1e-12, atol=0.0)

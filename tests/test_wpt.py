@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cfwpt.channel import sample_pilot_observation, sample_realization
+from cfwpt.channel import MC_BATCH, sample_pilot_observation, sample_realization
 from cfwpt.estimation import build_cache, lmmse_estimate
 from cfwpt.wit import lsfd_statistics
 from cfwpt.wpt import (
@@ -99,18 +99,59 @@ def test_oracle_agrees_with_closed_form():
     cfg, stats = synthetic_stats(L=2, K=3, N=2, tau_p=2, seed=46)
     cache, coef = _closed_forms(cfg, stats)
     p = np.random.default_rng(2).uniform(0.2, 1.0, size=(3, 2))
-    rng = np.random.default_rng(3)
-    for k, closed in enumerate(harvested_energy(p, coef)):
-        est, se = harvested_energy_oracle(k, p, cache, stats, cfg,
-                                          mc_samples=30_000, rng=rng)
-        assert abs(est - closed) <= 4.0 * se, (k, closed, est, se)
+    est, se = harvested_energy_oracle(p, cache, stats, cfg, mc_samples=30_000,
+                                      rng=np.random.default_rng(3))
+    closed = harvested_energy(p, coef)
+    assert est.shape == se.shape == (3,)
+    assert np.all(np.abs(est - closed) <= 4.0 * se), (closed, est, se)
 
 
 def test_oracle_zero_power_is_exact():
     cfg, stats = synthetic_stats(L=1, K=2, N=2, tau_p=1, seed=47)
     cache, coef = _closed_forms(cfg, stats)
     p = np.zeros((2, 1))
-    est, se = harvested_energy_oracle(0, p, cache, stats, cfg,
+    est, se = harvested_energy_oracle(p, cache, stats, cfg,
                                       mc_samples=100, rng=np.random.default_rng(4))
-    assert est == 0.0 and se == 0.0
+    assert np.all(est == 0.0) and np.all(se == 0.0)
     assert np.all(harvested_energy(p, coef) == 0.0)
+
+
+def _per_ue_energy_reference(p, cache, stats, cfg, mc_samples, rng):
+    """The energy oracle written out one UE at a time on shared draws.
+
+    Per batch: realizations, pilot observations, energy-symbol phases,
+    then mu tau_d |sum_il sqrt(p_il) ghat_il^H g_kl s_il|^2 for each k.
+    """
+    K, L = p.shape
+    total = np.zeros(K)
+    total_sq = np.zeros(K)
+    done = 0
+    while done < mc_samples:
+        n = min(MC_BATCH, mc_samples - done)
+        real = sample_realization(stats, rng, size=n)
+        z = sample_pilot_observation(real, stats, cfg, rng)
+        ghat = lmmse_estimate(z, cache, cfg)
+        s = np.exp(2j * np.pi * rng.uniform(size=(n, K, L)))
+        for k in range(K):
+            inner = np.einsum("biln,bln->bil", ghat.conj(), real.g[:, k])
+            r = np.einsum("bil,il,bil->b", inner, np.sqrt(p), s)
+            y = cfg.mu * cfg.tau_d * np.abs(r) ** 2
+            total[k] += y.sum()
+            total_sq[k] += (y ** 2).sum()
+        done += n
+    mean = total / mc_samples
+    return mean, np.sqrt((total_sq / mc_samples - mean ** 2) / mc_samples)
+
+
+def test_oracle_matches_per_ue_reference():
+    """One pass over the draws gives every UE's per-UE estimate."""
+    cfg, stats = synthetic_stats(L=2, K=4, N=3, tau_p=2, seed=48)
+    cache = build_cache(stats, cfg)
+    p = np.random.default_rng(6).uniform(0.2, 1.0, size=(4, 2))
+    samples = 2 * MC_BATCH + 500   # a short last batch as well
+    got = harvested_energy_oracle(p, cache, stats, cfg, samples,
+                                  np.random.default_rng(7))
+    want = _per_ue_energy_reference(p, cache, stats, cfg, samples,
+                                    np.random.default_rng(7))
+    np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(got[1], want[1], rtol=1e-12, atol=0.0)
