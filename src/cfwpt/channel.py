@@ -7,26 +7,11 @@ draw_estimates feeds both oracles MC_BATCH blocks at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .estimation import lmmse_estimate
 
 MC_BATCH = 10_000   # blocks drawn per vectorized oracle step
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One (or a batch of) coherence-block channel draws.
-
-    g has shape (..., K, L, N): the LOS response rotated by a fresh
-    uniform phase per link plus circularly symmetric scattering.
-    theta keeps the drawn phases for test introspection.
-    """
-
-    g: np.ndarray
-    theta: np.ndarray
 
 
 def _crandn(rng, shape):
@@ -37,27 +22,27 @@ def _crandn(rng, shape):
 
 
 def sample_realization(stats, rng, size=None):
-    """Draw independent channel vectors for every link.
+    """Draw independent channel vectors g for every link.
 
-    size=None gives arrays shaped (K, L, N); an integer prepends a
-    batch axis.  Phases are i.i.d. across links and draws.
+    g is the LOS response rotated by a fresh uniform phase per link plus
+    circularly symmetric scattering.  size=None gives shape (K, L, N);
+    an integer prepends a batch axis.  Phases are i.i.d. across links
+    and draws.
     """
     K, L, N = stats.gbar.shape
     lead = () if size is None else (size,)
     theta = rng.uniform(0.0, 2.0 * np.pi, lead + (K, L))
     scatter = _crandn(rng, lead + (K, L, N)) * np.sqrt(stats.beta)[..., None]
-    g = np.exp(1j * theta)[..., None] * stats.gbar + scatter
-    return ChannelRealization(g=g, theta=theta)
+    return np.exp(1j * theta)[..., None] * stats.gbar + scatter
 
 
-def sample_pilot_observation(real, stats, cfg, rng):
-    """Despread pilot statistic per (k, l) for given channel draws.
+def sample_pilot_observation(g, stats, cfg, rng):
+    """Despread pilot statistic per (k, l) for given channel draws g.
 
-    Returns z with the same leading batch shape as real.g, then
-    (K, L, N).  Co-pilot users observe the identical statistic: the sum
-    over their group plus one shared noise draw per (pilot, AP) pair.
+    Returns z with the same leading batch shape as g, then (K, L, N).
+    Co-pilot users observe the identical statistic: the sum over their
+    group plus one shared noise draw per (pilot, AP) pair.
     """
-    g = real.g
     batch = g.shape[:-3]
     K, L, N = g.shape[-3:]
 
@@ -82,9 +67,9 @@ def draw_estimates(stats, cache, cfg, mc_samples, rng):
     done = 0
     while done < mc_samples:
         n = min(MC_BATCH, mc_samples - done)
-        real = sample_realization(stats, rng, size=n)
-        z = sample_pilot_observation(real, stats, cfg, rng)
-        yield real.g, lmmse_estimate(z, cache, cfg)
+        g = sample_realization(stats, rng, size=n)
+        z = sample_pilot_observation(g, stats, cfg, rng)
+        yield g, lmmse_estimate(z, cache, cfg)
         done += n
 
 

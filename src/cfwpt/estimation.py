@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 
 @dataclass(frozen=True)
@@ -45,16 +44,15 @@ def build_cache(stats, cfg):
     R = (stats.gbar[:, :, :, None] * stats.gbar[:, :, None, :].conj()
          + stats.beta[:, :, None, None] * eye)
 
-    # One Psi per (pilot, AP), all factored in one stacked Cholesky call;
-    # co-pilot users solve with the same factor, so they get
-    # bit-identical Psi^-1 R for identical R.
+    # One Psi per (pilot, AP).  The stacked Cholesky only checks that
+    # each is positive definite; co-pilot users then share one inverse,
+    # so they get bit-identical Psi^-1 R for identical R.
     psi = np.zeros((cfg.tau_p,) + R.shape[1:], dtype=complex)
     np.add.at(psi, stats.pilot_of, R)
     psi *= rho_tau
     psi += cfg.sigma2 * eye
-    factor = cho_factor(psi, check_finite=False)[0]
-    psi_inv_r = cho_solve((factor[stats.pilot_of], False), R,
-                          check_finite=False)
+    np.linalg.cholesky(psi)
+    psi_inv_r = np.linalg.inv(psi)[stats.pilot_of] @ R
 
     Rhat = R @ psi_inv_r
     Rhat *= rho_tau

@@ -82,14 +82,13 @@ class ChannelStatistics:
     beta[k, l] is the scattered (NLOS) power per antenna, gbar[k, l] the
     deterministic LOS response before the per-block phase rotation, so
     the total link gain per antenna is beta + |gbar|^2 / N.  beta_tot
-    and los are kept for diagnostics; pilot_of[k] is the pilot UE k
-    sends, from assign_pilots.
+    is that gain before the BETA_FLOOR clip on beta; pilot_of[k] is the
+    pilot UE k sends, from assign_pilots.
     """
 
     beta: np.ndarray        # (K, L) real > 0
     gbar: np.ndarray        # (K, L, N) complex
     beta_tot: np.ndarray    # (K, L) total gain per antenna
-    los: np.ndarray         # (K, L) bool
     pilot_of: np.ndarray    # (K,) int in [0, tau_p)
 
 
@@ -161,4 +160,4 @@ def draw_link_statistics(geom, prop, cfg, rng):
     beta = np.maximum(beta_tot / (kappa + 1.0), BETA_FLOOR)
 
     return ChannelStatistics(beta=beta, gbar=gbar, beta_tot=beta_tot,
-                             los=los, pilot_of=assign_pilots(cfg))
+                             pilot_of=assign_pilots(cfg))

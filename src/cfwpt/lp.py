@@ -32,24 +32,28 @@ class LPProblem:
     A: np.ndarray   # (m, n)
     b: np.ndarray   # (m,)
 
-    @property
-    def n(self):
-        return self.A.shape[1]
+
+# Tolerances in equilibrated units: the phase-I optimum counts as
+# feasible at or below TOL_FEASIBLE, a reduced cost below -TOL_RC
+# prices a column in, and a pivot entry must exceed TOL_PIV.
+TOL_FEASIBLE = 1e-9
+TOL_RC = 1e-10
+TOL_PIV = 1e-11
 
 
-def lp_feasible(lp, tol=1e-9, max_iter=None, stall_limit=50):
+def lp_feasible(lp, max_iter=None, stall_limit=50):
     """Phase-I simplex: a feasible x (ndarray) or None.
 
     Feasible means the minimized total artificial infeasibility is
-    <= tol in equilibrated units.  After stall_limit degenerate pivots
-    in a row, Bland's rule prices the rest of the call (0 means Bland
+    <= TOL_FEASIBLE.  After stall_limit degenerate pivots in a row,
+    Bland's rule prices the rest of the call (0 means Bland
     throughout).  Raises SimplexIterationError if the pivot cap is hit.
     """
     A = np.asarray(lp.A, dtype=float)
     b = np.asarray(lp.b, dtype=float)
     m, n = A.shape
     if n == 0:
-        return np.zeros(0) if np.all(b >= -tol) else None
+        return np.zeros(0) if np.all(b >= -TOL_FEASIBLE) else None
     if m == 0 or np.all(b >= 0.0):
         return np.zeros(n)
 
@@ -88,14 +92,12 @@ def lp_feasible(lp, tol=1e-9, max_iter=None, stall_limit=50):
 
     if max_iter is None:
         max_iter = 500 + 50 * (m + ncols)
-    tol_rc = 1e-10
-    tol_piv = 1e-11
 
     stalled = 0                 # degenerate pivots in a row
     bland = stall_limit <= 0
     for _ in range(max_iter):
         reduced = T[m, :ncols]
-        candidates = np.flatnonzero(reduced < -tol_rc)
+        candidates = np.flatnonzero(reduced < -TOL_RC)
         if candidates.size == 0:
             break
         if bland:
@@ -103,15 +105,15 @@ def lp_feasible(lp, tol=1e-9, max_iter=None, stall_limit=50):
         else:
             enter = candidates[np.argmin(reduced[candidates])]
         col = T[:m, enter]
-        rows = np.flatnonzero(col > tol_piv)
+        rows = np.flatnonzero(col > TOL_PIV)
         if rows.size == 0:
             raise SimplexIterationError(
                 "phase-I objective unbounded below; inconsistent tableau")
         ratios = T[rows, -1] / col[rows]
         best = ratios.min()
-        ties = rows[ratios <= best + tol_piv]
+        ties = rows[ratios <= best + TOL_PIV]
         leave = ties[np.argmin(basis[ties])]       # lowest basis index on ties
-        stalled = stalled + 1 if best <= tol_piv else 0
+        stalled = stalled + 1 if best <= TOL_PIV else 0
         bland = bland or stalled >= stall_limit
         T[leave, :] /= T[leave, enter]
         factor = T[:, enter].copy()
@@ -122,7 +124,7 @@ def lp_feasible(lp, tol=1e-9, max_iter=None, stall_limit=50):
         raise SimplexIterationError(f"no convergence in {max_iter} pivots")
 
     infeasibility = -T[m, -1]
-    if infeasibility > tol:
+    if infeasibility > TOL_FEASIBLE:
         return None
 
     x = np.zeros(n)

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .lp import LPProblem, lp_feasible
 from .wit import sinr, sinr_terms, spectral_efficiency
@@ -144,14 +143,16 @@ def optimal_lsfd(eta, se):
 def _decoding_weights(interference, se):
     """Solve (interference_k + diag D_k) a_k = b_k for every UE k.
 
-    One stacked Cholesky call over the K systems; interference is
+    A stacked Cholesky checks that the K systems are positive definite,
+    then one stacked solve gives the weights; interference is
     overwritten.
     """
     idx = np.arange(se.D.shape[1])
     interference[:, idx, idx] += se.D
-    factor = cho_factor(interference, overwrite_a=True, check_finite=False)[0]
-    return cho_solve((factor, False), se.b[..., None] + 0j,
-                     check_finite=False)[..., 0]
+    np.linalg.cholesky(interference)
+    # The explicit trailing axis keeps b a stack of vectors under both
+    # numpy 1.x and 2.x broadcasting rules.
+    return np.linalg.solve(interference, se.b[..., None] + 0j)[..., 0]
 
 
 def upper_bound_tmax(se, cache, stats, cfg):

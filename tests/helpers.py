@@ -27,7 +27,6 @@ def synthetic_stats(L, K, N, tau_p, seed, **overrides):
     gbar = (rng.standard_normal((K, L, N))
             + 1j * rng.standard_normal((K, L, N))) * 0.7
     stats = ChannelStatistics(beta=beta, gbar=gbar, beta_tot=beta,
-                              los=np.ones((K, L), dtype=bool),
                               pilot_of=assign_pilots(cfg))
     return cfg, stats
 

@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+import cfwpt
 
 from cfwpt.cli import (
     MAX_VALIDATE_SIZE,
@@ -228,3 +233,24 @@ def test_main_usage_errors(tmp_path, capsys):
     bad.write_text("unknown_key = 1\n")
     assert main(["optimize", "--config", str(bad)]) == 2
     capsys.readouterr()
+
+
+def test_optimize_runs_without_scipy(tmp_path):
+    """A whole optimize + cdf run in a fresh interpreter imports no scipy."""
+    script = (
+        "import sys\n"
+        "from cfwpt.cli import main\n"
+        f"assert main(['optimize', '-c', {str(CONFIGS / 'small_demo.cfg')!r},"
+        f" '--setups', '1', '-o', {str(tmp_path)!r}]) == 0\n"
+        f"assert main(['cdf', '-o', {str(tmp_path)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules"
+        " if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    src = str(Path(cfwpt.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

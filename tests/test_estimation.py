@@ -30,7 +30,6 @@ def _scalar_setup():
         beta=np.array([[1.0]]),
         gbar=np.array([[[1.0 + 0.0j]]]),
         beta_tot=np.array([[2.0]]),
-        los=np.array([[True]]),
         pilot_of=assign_pilots(cfg),
     )
     return cfg, stats

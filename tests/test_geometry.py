@@ -45,7 +45,8 @@ def _pathloss_db(prop, d, los):
     fixed = dataclasses.replace(prop, shadow_std_los=0.0, shadow_std_nlos=0.0,
                                 los_probability=lambda _: float(los))
     stats = draw_link_statistics(geom, fixed, cfg, np.random.default_rng(0))
-    assert np.all(stats.los == los)
+    # Every LOS link has a positive K-factor, so a LOS response.
+    assert np.all((stats.gbar[:, 0, 0] != 0.0) == los)
     return -10.0 * np.log10(stats.beta_tot[:, 0])
 
 
@@ -121,7 +122,6 @@ def test_draw_link_statistics_shapes_and_plan():
     assert stats.beta.shape == (6, 4)
     assert stats.gbar.shape == (6, 4, 3)
     assert stats.beta_tot.shape == (6, 4)
-    assert stats.los.shape == (6, 4)
     assert stats.pilot_of.tolist() == [0, 1, 0, 1, 0, 1]
     assert np.all(stats.beta >= BETA_FLOOR)
 
@@ -140,7 +140,6 @@ def test_nlos_links_have_no_los_component():
     prop = PropagationModel(los_probability=lambda d: 0.0)
     geom = place_network(cfg, np.random.default_rng(8))
     stats = draw_link_statistics(geom, prop, cfg, np.random.default_rng(9))
-    assert not stats.los.any()
     assert np.all(stats.gbar == 0.0)
     assert np.allclose(stats.beta, np.maximum(stats.beta_tot, BETA_FLOOR))
 

@@ -137,8 +137,3 @@ def test_wireless_scale_spread():
     b = np.array([1.0e9, -2.0e-8, 5.0e-2])
     x = lp_feasible(LPProblem(A=A, b=b))
     _check_point(A, b, x)
-
-
-def test_n_property():
-    lp = LPProblem(A=np.zeros((3, 7)), b=np.zeros(3))
-    assert lp.n == 7

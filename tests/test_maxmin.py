@@ -67,7 +67,6 @@ def test_lp_layout():
     table = energy_coefficient_table(se, cfg)
     lp = build_feasibility_lp(eta, cache, table, cfg)
     assert lp.A.shape == (K + L, K * L)
-    assert lp.n == K * L
     # Energy rows: dE_k/dq_il = coef[k, i, l] rho_d / tr(Rhat_il), negated
     # and divided by the need, against a right-hand side just below -1.
     for k in range(K):

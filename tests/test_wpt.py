@@ -84,8 +84,8 @@ def test_ap_transmit_power_definition():
     p = np.random.default_rng(1).uniform(size=(4, 3))
     rng = np.random.default_rng(5)
     n = 40_000
-    real = sample_realization(stats, rng, size=n)
-    ghat = lmmse_estimate(sample_pilot_observation(real, stats, cfg, rng),
+    g = sample_realization(stats, rng, size=n)
+    ghat = lmmse_estimate(sample_pilot_observation(g, stats, cfg, rng),
                           cache, cfg)
     s = np.exp(2j * np.pi * rng.uniform(size=(n, 4, 3)))
     x = np.einsum("kl,bkln,bkl->bln", np.sqrt(p), ghat.conj(), s)
@@ -128,12 +128,12 @@ def _per_ue_energy_reference(p, cache, stats, cfg, mc_samples, rng):
     done = 0
     while done < mc_samples:
         n = min(MC_BATCH, mc_samples - done)
-        real = sample_realization(stats, rng, size=n)
-        z = sample_pilot_observation(real, stats, cfg, rng)
+        g = sample_realization(stats, rng, size=n)
+        z = sample_pilot_observation(g, stats, cfg, rng)
         ghat = lmmse_estimate(z, cache, cfg)
         s = np.exp(2j * np.pi * rng.uniform(size=(n, K, L)))
         for k in range(K):
-            inner = np.einsum("biln,bln->bil", ghat.conj(), real.g[:, k])
+            inner = np.einsum("biln,bln->bil", ghat.conj(), g[:, k])
             r = np.einsum("bil,il,bil->b", inner, np.sqrt(p), s)
             y = cfg.mu * cfg.tau_d * np.abs(r) ** 2
             total[k] += y.sum()
