@@ -43,20 +43,17 @@ def sample_pilot_observation(g, stats, cfg, rng):
     Co-pilot users observe the identical statistic: the sum over their
     group plus one shared noise draw per (pilot, AP) pair.
     """
-    batch = g.shape[:-3]
-    K, L, N = g.shape[-3:]
-
-    noise = _crandn(rng, batch + (cfg.tau_p, L, N)) * np.sqrt(cfg.sigma2)
-    z_by_pilot = noise
+    L, N = g.shape[-2:]
+    z_by_pilot = _crandn(rng, g.shape[:-3] + (cfg.tau_p, L, N)) \
+        * np.sqrt(cfg.sigma2)
     scale = np.sqrt(cfg.rho_p * cfg.tau_p)
     for t in range(cfg.tau_p):
-        members = np.flatnonzero(stats.pilot_of == t)
-        if members.size:
-            z_by_pilot[..., t, :, :] += scale * g[..., members, :, :].sum(axis=-3)
+        group = g[..., stats.pilot_of == t, :, :]
+        z_by_pilot[..., t, :, :] += scale * group.sum(axis=-3)
     return z_by_pilot[..., stats.pilot_of, :, :]
 
 
-def draw_estimates(stats, cache, cfg, mc_samples, rng):
+def draw_estimates(stats, cfg, mc_samples, rng):
     """Yield (g, ghat) batches of joint channel and estimate draws.
 
     Each batch of at most MC_BATCH blocks draws the realizations, then
@@ -69,7 +66,7 @@ def draw_estimates(stats, cache, cfg, mc_samples, rng):
         n = min(MC_BATCH, mc_samples - done)
         g = sample_realization(stats, rng, size=n)
         z = sample_pilot_observation(g, stats, cfg, rng)
-        yield g, lmmse_estimate(z, cache, cfg)
+        yield g, lmmse_estimate(z, stats, cfg)
         done += n
 
 

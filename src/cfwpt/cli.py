@@ -136,15 +136,13 @@ def run_validate(cfg, prop, mc_samples, seed, out=None):
     # Every AP splits its budget evenly over the UE-directed beams.
     p = cfg.rho_d / (cfg.K * cache.tr_rhat)
 
-    checks = []
     closed_e = harvested_energy(p, harvested_energy_coefficients(se, cfg))
-    est, est_se = harvested_energy_oracle(p, cache, stats, cfg, mc_samples, rng)
-    checks.append(("harvested_energy", _z_scores(closed_e, est, est_se)))
-
-    oracle = se_statistics_oracle(cache, stats, cfg, mc_samples, rng)
-    checks.append(("b", _z_scores(se.b, oracle.b, oracle.b_se)))
-    checks.append(("C", _z_scores(se.C, oracle.C, oracle.C_se)))
-    checks.append(("D", _z_scores(se.D, oracle.D, oracle.D_se)))
+    est, est_se = harvested_energy_oracle(p, stats, cfg, mc_samples, rng)
+    oracle = se_statistics_oracle(stats, cfg, mc_samples, rng)
+    checks = [("harvested_energy", _z_scores(closed_e, est, est_se)),
+              ("b", _z_scores(se.b, oracle.b, oracle.b_se)),
+              ("C", _z_scores(se.C, oracle.C, oracle.C_se)),
+              ("D", _z_scores(se.D, oracle.D, oracle.D_se))]
 
     ok = True
     for name, z in checks:
@@ -217,6 +215,14 @@ def run_cdf(out_dir, out=None):
     return 0
 
 
+def _int_at_least(low):
+    def integer(text):   # argparse names the type after this function
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return int(text)
+    return integer
+
+
 def _small_default_config():
     return ScenarioConfig(L=2, K=4, N=2, tau_p=2, tau_d=25, tau_u=173)
 
@@ -229,15 +235,15 @@ def build_parser():
 
     opt = sub.add_parser("optimize", help="sweep setups, solve, write SE CSVs")
     opt.add_argument("-c", "--config", default=None)
-    opt.add_argument("--setups", type=int, default=100)
-    opt.add_argument("--seed", type=int, default=None)
+    opt.add_argument("--setups", type=_int_at_least(1), default=100)
+    opt.add_argument("--seed", type=_int_at_least(0), default=None)
     opt.add_argument("-o", "--out", default="out")
-    opt.add_argument("--jobs", type=int, default=1)
+    opt.add_argument("--jobs", type=_int_at_least(1), default=1)
 
     val = sub.add_parser("validate", help="closed forms vs Monte Carlo")
     val.add_argument("-c", "--config", default=None)
-    val.add_argument("--seed", type=int, default=None)
-    val.add_argument("--mc-samples", type=int, default=None)
+    val.add_argument("--seed", type=_int_at_least(0), default=None)
+    val.add_argument("--mc-samples", type=_int_at_least(1), default=None)
 
     cdf = sub.add_parser("cdf", help="CDF tables from an optimize manifest")
     cdf.add_argument("-o", "--out", default="out")
@@ -277,9 +283,7 @@ def main(argv=None):
                   f"{MAX_VALIDATE_SIZE}); use a smaller config",
                   file=sys.stderr)
             return 2
-        samples = args.mc_samples if args.mc_samples is not None \
-            else cfg.mc_samples
-        return run_validate(cfg, prop, samples, seed)
+        return run_validate(cfg, prop, args.mc_samples or cfg.mc_samples, seed)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

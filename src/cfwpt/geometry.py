@@ -81,14 +81,12 @@ class ChannelStatistics:
 
     beta[k, l] is the scattered (NLOS) power per antenna, gbar[k, l] the
     deterministic LOS response before the per-block phase rotation, so
-    the total link gain per antenna is beta + |gbar|^2 / N.  beta_tot
-    is that gain before the BETA_FLOOR clip on beta; pilot_of[k] is the
-    pilot UE k sends, from assign_pilots.
+    the total link gain per antenna is beta + |gbar|^2 / N.  pilot_of[k]
+    is the pilot UE k sends, from assign_pilots.
     """
 
     beta: np.ndarray        # (K, L) real > 0
     gbar: np.ndarray        # (K, L, N) complex
-    beta_tot: np.ndarray    # (K, L) total gain per antenna
     pilot_of: np.ndarray    # (K,) int in [0, tau_p)
 
 
@@ -159,5 +157,4 @@ def draw_link_statistics(geom, prop, cfg, rng):
     gbar = np.sqrt(los_share * beta_tot)[:, :, None] * steering
     beta = np.maximum(beta_tot / (kappa + 1.0), BETA_FLOOR)
 
-    return ChannelStatistics(beta=beta, gbar=gbar, beta_tot=beta_tot,
-                             pilot_of=assign_pilots(cfg))
+    return ChannelStatistics(beta=beta, gbar=gbar, pilot_of=assign_pilots(cfg))

@@ -35,51 +35,29 @@ class SEStatistics:
 
 
 def lsfd_statistics(cache, stats, cfg):
-    """Closed-form b, C, D from the estimation cache."""
-    K, L, N = stats.gbar.shape
+    """Closed-form b, C, D as elementwise (K, K, L) terms of the cache's
+    Gram factors, with R_k = gbar_k gbar_k^H + beta_k I and Psi = Psi_kl."""
     rho_tau = cfg.rho_p * cfg.tau_p
-    gbar = stats.gbar
-    beta = stats.beta
-    m_mat = cache.psi_inv_r                       # Psi^-1 R per (k, l)
-
-    tr_m = np.einsum("klaa->kl", m_mat).real      # tr(Psi_kl^-1 R_kl)
-    # quad[k, m, l] = gbar_ml^H M_kl gbar_ml, with M_kl gbar_ml for all
-    # m from one batched product.
-    quad = np.einsum("mla,klam->kml", gbar.conj(),
-                     m_mat @ gbar.transpose(1, 2, 0))
-    quad_self = np.einsum("kkl->kl", quad)        # gbar_kl^H M_kl gbar_kl
-
-    b = rho_tau * (quad_self.real + beta * tr_m)
-
-    # tr(Rhat_kl R_ml) for all pairs.  R is Hermitian, so this is
-    # Re sum_ab Rhat_kl[a, b] conj(R_ml[a, b]): a real dot product of the
-    # float views, batched over APs with no copy of R.
-    rhat_f = cache.Rhat.view(float).reshape(K, L, 2 * N * N)
-    r_f = cache.R.view(float).reshape(K, L, 2 * N * N)
-    tr_rhat_r = (rhat_f.transpose(1, 0, 2) @ r_f.transpose(1, 2, 0)) \
-        .transpose(1, 2, 0)                                   # (K, K, L)
-
-    pilot_of = stats.pilot_of
-    copilot = pilot_of[:, None] == pilot_of[None, :]
-    mask = copilot.astype(float)
-
+    b, own = cache.tr_rhat, cache.own
+    beta_k, beta_m = stats.beta[:, None, :], stats.beta[None, :, :]
+    g_kk = np.einsum("kkl->kl", cache.cross).real[:, None, :]
+    hg = cache.gram * cache.cross       # (gbar_k^H gbar_m) gbar_m^H Psi^-1 gbar_k
+    tr_m = g_kk + beta_k * cache.tr_psi_inv[:, None, :]    # tr(Psi^-1 R_k)
+    quad = hg + beta_k * own                  # gbar_m^H Psi^-1 R_k gbar_m
+    u = quad + beta_m * tr_m                  # tr(Psi^-1 R_k R_m)
+    # tr(Rhat_k R_m) = rho_tau v^H Psi^-1 v + beta_m b_k, v = R_k gbar_m.
+    tr_rhat_r = rho_tau * (np.abs(cache.gram) ** 2 * g_kk + 2.0 * beta_k
+                           * hg.real + beta_k ** 2 * own) + beta_m * b[:, None]
+    mask = (rho_tau ** 2) * (stats.pilot_of[:, None] == stats.pilot_of)[..., None]
     # Cross-AP correlation survives only through the shared pilot: the
     # factors separate per AP as u and its conjugate.
-    u = quad + beta[None, :, :] * tr_m[:, None, :]          # (K, K, L)
-    C = (rho_tau ** 2) * (u[:, :, :, None] * u[:, :, None, :].conj()) \
-        * mask[:, :, None, None]
-
+    C = mask[..., None] * (u[..., :, None] * u[..., None, :].conj())
     # Same-AP second moments E|ghat_kl^H g_ml|^2; scaled by mu tau_d
     # they are the harvested-energy coefficients (wpt reads them here).
-    diag = tr_rhat_r + (rho_tau ** 2) * mask[:, :, None] * (
-        2.0 * beta[None, :, :] * tr_m[:, None, :] * quad.real
-        + beta[None, :, :] ** 2 * tr_m[:, None, :] ** 2
-    )
-    idx = np.arange(L)
-    C[:, :, idx, idx] = diag
-
-    D = cfg.sigma2 * cache.tr_rhat
-    return SEStatistics(b=b, C=C, D=D)
+    idx = np.arange(b.shape[1])
+    C[:, :, idx, idx] = tr_rhat_r + mask * (
+        2.0 * beta_m * tr_m * quad.real + beta_m ** 2 * tr_m ** 2)
+    return SEStatistics(b=b, C=C, D=cfg.sigma2 * b)
 
 
 def sinr_terms(a, se):
@@ -128,7 +106,7 @@ class SEOracleEstimates:
     D_se: np.ndarray   # (K, L) real
 
 
-def se_statistics_oracle(cache, stats, cfg, mc_samples, rng):
+def se_statistics_oracle(stats, cfg, mc_samples, rng):
     """Monte Carlo estimate of b, C, D from their defining moments.
 
     Draws joint (channel, estimate) realizations and averages
@@ -137,15 +115,11 @@ def se_statistics_oracle(cache, stats, cfg, mc_samples, rng):
     channel.mean_and_stderr.
     """
     K, L, _ = stats.gbar.shape
-    b_sum = np.zeros((K, L), dtype=complex)
-    b_sq = np.zeros((K, L))
-    c_sum = np.zeros((K, K, L, L), dtype=complex)
-    c_sq = np.zeros((K, K, L, L))
-    d_sum = np.zeros((K, L))
-    d_sq = np.zeros((K, L))
-
+    b_sum, b_sq = np.zeros((K, L), dtype=complex), np.zeros((K, L))
+    c_sum, c_sq = np.zeros((K, K, L, L), dtype=complex), np.zeros((K, K, L, L))
+    d_sum, d_sq = np.zeros((K, L)), np.zeros((K, L))
     kk = np.arange(K)
-    for g, ghat in draw_estimates(stats, cache, cfg, mc_samples, rng):
+    for g, ghat in draw_estimates(stats, cfg, mc_samples, rng):
         x = np.einsum("bkln,bmln->bkml", ghat.conj(), g)
         y_b = x[:, kk, kk, :]
         y_d = cfg.sigma2 * np.einsum("bkln,bkln->bkl", ghat, ghat.conj()).real
@@ -153,7 +127,6 @@ def se_statistics_oracle(cache, stats, cfg, mc_samples, rng):
         # batched (L, batch) @ (batch, L) products, draws on the last axis.
         xt = np.ascontiguousarray(np.moveaxis(x, 0, -1))
         x_sq = np.abs(xt) ** 2
-
         b_sum += y_b.sum(axis=0)
         b_sq += (np.abs(y_b) ** 2).sum(axis=0)
         c_sum += xt @ xt.conj().swapaxes(-1, -2)

@@ -49,7 +49,7 @@ def harvested_energy(p, coef):
     return np.einsum("kil,il->k", coef, np.asarray(p, dtype=float))
 
 
-def harvested_energy_oracle(p, cache, stats, cfg, mc_samples, rng):
+def harvested_energy_oracle(p, stats, cfg, mc_samples, rng):
     """Monte Carlo estimate of every UE's harvested energy, from one pass.
 
     Draws joint (channel, pilot observation, energy symbol) realizations
@@ -61,9 +61,8 @@ def harvested_energy_oracle(p, cache, stats, cfg, mc_samples, rng):
     Returns the (K,) estimates and their (K,) standard errors.
     """
     sqrt_p = np.sqrt(np.asarray(p, dtype=float))
-    total = 0.0
-    total_sq = 0.0
-    for g, ghat in draw_estimates(stats, cache, cfg, mc_samples, rng):
+    total = total_sq = 0.0
+    for g, ghat in draw_estimates(stats, cfg, mc_samples, rng):
         n, K, L, _ = g.shape
         s = np.exp(2j * np.pi * rng.uniform(size=(n, K, L)))
         # x[b, l] = sum_i sqrt(p_il) s_il conj(ghat_il): what AP l radiates.

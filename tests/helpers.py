@@ -26,29 +26,70 @@ def synthetic_stats(L, K, N, tau_p, seed, **overrides):
     beta = rng.uniform(0.1, 2.0, size=(K, L))
     gbar = (rng.standard_normal((K, L, N))
             + 1j * rng.standard_normal((K, L, N))) * 0.7
-    stats = ChannelStatistics(beta=beta, gbar=gbar, beta_tot=beta,
-                              pilot_of=assign_pilots(cfg))
+    stats = ChannelStatistics(beta=beta, gbar=gbar, pilot_of=assign_pilots(cfg))
     return cfg, stats
 
 
-def rebuilt_psi(cache, stats, cfg):
+# Dense per-link references, rebuilt from the statistics with N x N
+# matrices and independently of the estimation code.
+
+def dense_covariance(stats):
+    """Channel covariance R = gbar gbar^H + beta I per link, (K, L, N, N)."""
+    N = stats.gbar.shape[-1]
+    return (stats.gbar[..., :, None] * stats.gbar[..., None, :].conj()
+            + stats.beta[..., None, None] * np.eye(N))
+
+
+def rebuilt_psi(stats, cfg):
     """Despread-observation covariance Psi per (k, l), (K, L, N, N).
 
-    Rebuilt from the cached R and the pilot assignment as rho_p tau_p times
-    the sum of co-pilot covariances plus sigma^2 I, independently of
-    the estimation code.
+    rho_p tau_p times the sum of co-pilot covariances plus sigma^2 I.
     """
     pilot_of = stats.pilot_of
     copilot = (pilot_of[:, None] == pilot_of[None, :]).astype(float)
-    N = cache.R.shape[-1]
-    return (cfg.rho_p * cfg.tau_p * np.einsum("km,mlab->klab", copilot, cache.R)
+    N = stats.gbar.shape[-1]
+    return (cfg.rho_p * cfg.tau_p
+            * np.einsum("km,mlab->klab", copilot, dense_covariance(stats))
             + cfg.sigma2 * np.eye(N))
 
 
-def direct_rhat(cache, stats, cfg):
-    """rho_p tau_p R Psi^-1 R per link, via np.linalg.solve."""
-    psi = rebuilt_psi(cache, stats, cfg)
-    return cfg.rho_p * cfg.tau_p * cache.R @ np.linalg.solve(psi, cache.R)
+def dense_psi_inv_r(stats, cfg):
+    """Psi^-1 R per link, via np.linalg.solve."""
+    return np.linalg.solve(rebuilt_psi(stats, cfg), dense_covariance(stats))
+
+
+def direct_rhat(stats, cfg):
+    """rho_p tau_p R Psi^-1 R per link."""
+    return (cfg.rho_p * cfg.tau_p * dense_covariance(stats)
+            @ dense_psi_inv_r(stats, cfg))
+
+
+def dense_lsfd(stats, cfg):
+    """(b, C, D) of the LSFD closed forms from the dense matrices.
+
+    b = tr(Rhat); C from u[k, m, l] = tr(Psi_kl^-1 R_kl R_ml) on
+    co-pilot pairs, with the same-AP second moments
+    tr(Rhat_kl R_ml) + (rho_p tau_p)^2 [co-pilot] (2 beta_ml T Re q
+    + beta_ml^2 T^2) on its diagonal, T = tr(Psi_kl^-1 R_kl) and
+    q = gbar_ml^H Psi_kl^-1 R_kl gbar_ml; D = sigma^2 tr(Rhat).
+    """
+    rho_tau = cfg.rho_p * cfg.tau_p
+    R = dense_covariance(stats)
+    m_mat = dense_psi_inv_r(stats, cfg)
+    rhat = rho_tau * R @ m_mat
+    b = np.einsum("klaa->kl", rhat).real
+    tr_m = np.einsum("klaa->kl", m_mat).real
+    quad = np.einsum("mla,klab,mlb->kml", stats.gbar.conj(), m_mat, stats.gbar)
+    beta_m = stats.beta[None, :, :]
+    u = quad + beta_m * tr_m[:, None, :]
+    copilot = stats.pilot_of[:, None] == stats.pilot_of[None, :]
+    mask = rho_tau ** 2 * copilot[:, :, None]
+    C = mask[..., None] * u[..., :, None] * u[..., None, :].conj()
+    idx = np.arange(stats.gbar.shape[1])
+    C[:, :, idx, idx] = np.einsum("klab,mlba->kml", rhat, R).real + mask * (
+        2.0 * beta_m * tr_m[:, None, :] * quad.real
+        + beta_m ** 2 * tr_m[:, None, :] ** 2)
+    return b, C, cfg.sigma2 * b
 
 
 def ap_transmit_powers(p, cache):

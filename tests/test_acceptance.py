@@ -33,6 +33,8 @@ from cfwpt.wpt import (
 
 from helpers import (
     ap_transmit_powers,
+    dense_covariance,
+    dense_psi_inv_r,
     direct_rhat,
     oracle_feasible,
     random_int_lp,
@@ -82,7 +84,7 @@ def test_criterion_1_harvested_energy_oracle():
         coef = harvested_energy_coefficients(
             lsfd_statistics(cache, stats, cfg), cfg)
         rng = np.random.default_rng(np.random.SeedSequence(202, spawn_key=(idx,)))
-        est, se = harvested_energy_oracle(p, cache, stats, cfg, MC_SAMPLES, rng)
+        est, se = harvested_energy_oracle(p, stats, cfg, MC_SAMPLES, rng)
         z = np.abs(est - harvested_energy(p, coef)) / se
         worst = max(worst, float(z.max()))
     _report(1, "harvested energy closed form vs Monte Carlo",
@@ -95,7 +97,7 @@ def test_criterion_2_decoding_statistics_oracle():
     for idx, cfg, stats, cache in _grid_instances(master_seed=101):
         se = lsfd_statistics(cache, stats, cfg)
         rng = np.random.default_rng(np.random.SeedSequence(616, spawn_key=(idx,)))
-        est = se_statistics_oracle(cache, stats, cfg, MC_SAMPLES, rng)
+        est = se_statistics_oracle(stats, cfg, MC_SAMPLES, rng)
 
         def zmax(closed, mean, err):
             diff = np.abs(np.asarray(closed, dtype=complex) - mean)
@@ -132,12 +134,15 @@ def test_criterion_3_exact_identities():
                                      seed=int(seeds[i]))
         cache = build_cache(stats, cfg)
         se = lsfd_statistics(cache, stats, cfg)
-        gap = cache.Rhat - direct_rhat(cache, stats, cfg)
+        # R and Psi rebuilt densely from the statistics.
+        R = dense_covariance(stats)
+        gap = cache.Rhat - direct_rhat(stats, cfg)
         split = (np.linalg.norm(gap, axis=(2, 3))
-                 / np.linalg.norm(cache.R, axis=(2, 3)))
+                 / np.linalg.norm(R, axis=(2, 3)))
         worst_split = max(worst_split, float(split.max()))
+        # b from the Gram factors against rho_p tau_p tr(Psi^-1 R R).
         direct = cfg.rho_p * cfg.tau_p * np.einsum(
-            "klab,klba->kl", cache.psi_inv_r, cache.R).real
+            "klab,klba->kl", dense_psi_inv_r(stats, cfg), R).real
         worst_b = max(worst_b, float(np.max(np.abs(se.b - direct)
                                             / np.abs(direct))))
         links += cfg.K * cfg.L

@@ -56,8 +56,7 @@ def test_copilot_observations_identical():
 
 def test_observation_covariance_matches_psi():
     cfg, stats = synthetic_stats(L=1, K=3, N=2, tau_p=2, seed=36)
-    cache = build_cache(stats, cfg)
-    psi = rebuilt_psi(cache, stats, cfg)[0, 0]
+    psi = rebuilt_psi(stats, cfg)[0, 0]
     n = 40_000
     rng = np.random.default_rng(11)
     g = sample_realization(stats, rng, size=n)
@@ -76,7 +75,7 @@ def test_estimate_covariance_matches_rhat():
     rng = np.random.default_rng(12)
     g = sample_realization(stats, rng, size=n)
     z = sample_pilot_observation(g, stats, cfg, rng)
-    ghat = lmmse_estimate(z, cache, cfg)
+    ghat = lmmse_estimate(z, stats, cfg)
     h = ghat[:, 1, 0, :]
     emp = (h[:, :, None] * h.conj()[:, None, :]).mean(axis=0)
     want = cache.Rhat[1, 0]
@@ -87,15 +86,14 @@ def test_draw_estimates_batches_and_order():
     """Batches of MC_BATCH blocks plus a short last one, each drawn as
     realization, then pilot observation, then the LMMSE estimate."""
     cfg, stats = synthetic_stats(L=1, K=2, N=2, tau_p=1, seed=35)
-    cache = build_cache(stats, cfg)
-    batches = list(draw_estimates(stats, cache, cfg, MC_BATCH + 3,
+    batches = list(draw_estimates(stats, cfg, MC_BATCH + 3,
                                   np.random.default_rng(9)))
     assert [g.shape[0] for g, _ in batches] == [MC_BATCH, 3]
     rng = np.random.default_rng(9)
     g = sample_realization(stats, rng, size=MC_BATCH)
     z = sample_pilot_observation(g, stats, cfg, rng)
     assert np.array_equal(batches[0][0], g)
-    assert np.array_equal(batches[0][1], lmmse_estimate(z, cache, cfg))
+    assert np.array_equal(batches[0][1], lmmse_estimate(z, stats, cfg))
 
 
 def test_mean_and_stderr_total_variance():

@@ -235,6 +235,28 @@ def test_main_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command, option, value", [
+    ("validate", "--mc-samples", "0"),
+    ("validate", "--mc-samples", "-5"),
+    ("optimize", "--setups", "0"),
+    ("optimize", "--setups", "-3"),
+    ("optimize", "--seed", "-1"),
+    ("validate", "--seed", "-1"),
+    ("optimize", "--jobs", "0"),
+])
+def test_main_rejects_bad_counts(command, option, value, tmp_path, capsys):
+    """A count below 1 or a negative seed exits 2 with a message that
+    names the option, before any output is written."""
+    out = tmp_path / "out"
+    argv = [command]
+    if command == "optimize":
+        argv += ["-c", str(CONFIGS / "small_demo.cfg"), "--setups", "1",
+                 "-o", str(out)]
+    assert main(argv + [option, value]) == 2
+    assert f"argument {option}: must be >= " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_optimize_runs_without_scipy(tmp_path):
     """A whole optimize + cdf run in a fresh interpreter imports no scipy."""
     script = (

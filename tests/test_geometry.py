@@ -33,8 +33,8 @@ def _pathloss_db(prop, d, los):
     """Path loss in dB that draw_link_statistics applies at distances d.
 
     One AP at the origin and one UE per distance on the x axis, in one
-    plane; shadowing is off and the LOS state is fixed, so beta_tot is
-    the path loss alone.
+    plane; shadowing is off and the LOS state is fixed, so the total
+    gain beta + |gbar|^2 / N is the path loss alone.
     """
     d = np.asarray(d, dtype=float)
     cfg = ScenarioConfig(L=1, K=d.size, N=1, tau_p=1,
@@ -47,7 +47,8 @@ def _pathloss_db(prop, d, los):
     stats = draw_link_statistics(geom, fixed, cfg, np.random.default_rng(0))
     # Every LOS link has a positive K-factor, so a LOS response.
     assert np.all((stats.gbar[:, 0, 0] != 0.0) == los)
-    return -10.0 * np.log10(stats.beta_tot[:, 0])
+    total = stats.beta + np.sum(np.abs(stats.gbar) ** 2, axis=2) / cfg.N
+    return -10.0 * np.log10(total[:, 0])
 
 
 def test_pathloss_reference_point():
@@ -121,18 +122,23 @@ def test_draw_link_statistics_shapes_and_plan():
     stats = draw_link_statistics(geom, PropagationModel(), cfg, np.random.default_rng(4))
     assert stats.beta.shape == (6, 4)
     assert stats.gbar.shape == (6, 4, 3)
-    assert stats.beta_tot.shape == (6, 4)
     assert stats.pilot_of.tolist() == [0, 1, 0, 1, 0, 1]
     assert np.all(stats.beta >= BETA_FLOOR)
 
 
 def test_gain_split_consistency():
-    """beta + |gbar|^2 / N must reassemble the total per-antenna gain."""
+    """The LOS share |gbar|^2 / N over the scattered share beta is the
+    Rician K-factor at the link distance on every LOS link."""
     cfg = _small_cfg()
     geom = place_network(cfg, np.random.default_rng(5))
     stats = draw_link_statistics(geom, PropagationModel(), cfg, np.random.default_rng(6))
-    per_antenna = stats.beta + np.sum(np.abs(stats.gbar) ** 2, axis=2) / cfg.N
-    assert np.allclose(per_antenna, np.maximum(stats.beta_tot, BETA_FLOOR), rtol=1e-12)
+    los_share = np.sum(np.abs(stats.gbar) ** 2, axis=2) / cfg.N
+    los = los_share > 0.0
+    assert los.any() and not los.all()
+    d = link_distance(geom.ap_positions[None, :, :],
+                      geom.ue_positions[:, None, :], geom.height_diff)
+    kappa = np.vectorize(inh_rician_factor)(d)
+    assert np.allclose(los_share[los] / stats.beta[los], kappa[los], rtol=1e-12)
 
 
 def test_nlos_links_have_no_los_component():
@@ -141,7 +147,7 @@ def test_nlos_links_have_no_los_component():
     geom = place_network(cfg, np.random.default_rng(8))
     stats = draw_link_statistics(geom, prop, cfg, np.random.default_rng(9))
     assert np.all(stats.gbar == 0.0)
-    assert np.allclose(stats.beta, np.maximum(stats.beta_tot, BETA_FLOOR))
+    assert np.all(np.isfinite(stats.beta)) and np.all(stats.beta >= BETA_FLOOR)
 
 
 def test_steering_vector_unit_modulus():
@@ -154,7 +160,7 @@ def test_steering_vector_unit_modulus():
     assert np.allclose(mags, mags[:, :, :1])
 
 
-def test_beta_tot_decreases_with_distance_without_shadowing():
+def test_total_gain_decreases_with_distance_without_shadowing():
     cfg = _small_cfg(L=1, K=8, ap_placement="random")
     prop = PropagationModel(los_probability=lambda d: 1.0,
                             shadow_std_los=0.0, shadow_std_nlos=0.0)
@@ -163,5 +169,6 @@ def test_beta_tot_decreases_with_distance_without_shadowing():
     stats = draw_link_statistics(geom, prop, cfg, rng)
     d = link_distance(geom.ap_positions[0], geom.ue_positions, geom.height_diff)
     order = np.argsort(d)
-    gains = stats.beta_tot[:, 0][order]
+    total = stats.beta + np.sum(np.abs(stats.gbar) ** 2, axis=2) / cfg.N
+    gains = total[:, 0][order]
     assert all(x >= y for x, y in zip(gains, gains[1:]))

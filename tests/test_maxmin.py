@@ -24,7 +24,13 @@ from cfwpt.maxmin import (
 from cfwpt.wit import lsfd_statistics, sinr, spectral_efficiency
 from cfwpt.wpt import harvested_energy
 
-from helpers import ap_transmit_powers, synthetic_stats
+from helpers import (
+    ap_transmit_powers,
+    dense_covariance,
+    dense_psi_inv_r,
+    direct_rhat,
+    synthetic_stats,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -48,11 +54,13 @@ def test_energy_table_stacks_per_ue_gradients():
     assert table.shape == (3, 3, 2)
     rho_tau = cfg.rho_p * cfg.tau_p
     pilot_of = stats.pilot_of
-    tr_m = np.einsum("ilaa->il", cache.psi_inv_r).real
+    m_mat = dense_psi_inv_r(stats, cfg)
+    R, rhat = dense_covariance(stats), direct_rhat(stats, cfg)
+    tr_m = np.einsum("ilaa->il", m_mat).real
     for k in range(3):
-        base = np.einsum("ilab,lba->il", cache.Rhat, cache.R[k]).real
+        base = np.einsum("ilab,lba->il", rhat, R[k]).real
         quad = np.einsum("la,ilab,lb->il", stats.gbar[k].conj(),
-                         cache.psi_inv_r, stats.gbar[k]).real
+                         m_mat, stats.gbar[k]).real
         bt = stats.beta[k] * tr_m
         copilot = (pilot_of == pilot_of[k])[:, None]
         want = cfg.mu * cfg.tau_d * (

@@ -6,7 +6,7 @@ from cfwpt.estimation import build_cache
 from cfwpt.wit import lsfd_statistics, se_statistics_oracle, sinr, spectral_efficiency
 
 from test_estimation import _scalar_setup
-from helpers import synthetic_stats
+from helpers import dense_covariance, dense_psi_inv_r, synthetic_stats
 
 
 def _instance(seed=51, **kw):
@@ -35,11 +35,11 @@ def test_b_equals_trace_of_rhat():
     cfg, stats, cache, se = _instance(seed=52)
     assert np.allclose(se.b, cache.tr_rhat, rtol=1e-10)
     rho_tau = cfg.rho_p * cfg.tau_p
+    m_mat, R = dense_psi_inv_r(stats, cfg), dense_covariance(stats)
     direct = np.empty_like(se.b)
     for k in range(cfg.K):
         for l in range(cfg.L):
-            direct[k, l] = rho_tau * np.trace(
-                cache.psi_inv_r[k, l] @ cache.R[k, l]).real
+            direct[k, l] = rho_tau * np.trace(m_mat[k, l] @ R[k, l]).real
     assert np.allclose(se.b, direct, rtol=1e-10)
 
 
@@ -131,7 +131,7 @@ def test_spectral_efficiency_prelog():
 
 def test_monte_carlo_oracle_agrees():
     cfg, stats, cache, se = _instance(seed=61, L=2, K=3, N=2)
-    est = se_statistics_oracle(cache, stats, cfg,
+    est = se_statistics_oracle(stats, cfg,
                                mc_samples=40_000, rng=np.random.default_rng(1))
     for name, closed, mean, err in (
         ("b", se.b.astype(complex), est.b, est.b_se),
@@ -147,11 +147,11 @@ def test_oracle_c_moments_match_explicit_products():
     """C's batched sums equal the explicit (batch, K, K, L, L) products."""
     cfg, stats, cache, se = _instance(seed=62, L=3, K=3, N=2)
     samples = MC_BATCH + 700
-    est = se_statistics_oracle(cache, stats, cfg, samples,
+    est = se_statistics_oracle(stats, cfg, samples,
                                np.random.default_rng(8))
     c_sum = 0.0
     c_sq = 0.0
-    for g, ghat in draw_estimates(stats, cache, cfg, samples,
+    for g, ghat in draw_estimates(stats, cfg, samples,
                                   np.random.default_rng(8)):
         x = np.einsum("bkln,bmln->bkml", ghat.conj(), g)
         v = x[:, :, :, :, None] * x[:, :, :, None, :].conj()

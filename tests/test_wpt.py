@@ -11,7 +11,12 @@ from cfwpt.wpt import (
 )
 
 from test_estimation import _scalar_setup
-from helpers import ap_transmit_powers, synthetic_stats
+from helpers import (
+    ap_transmit_powers,
+    dense_covariance,
+    direct_rhat,
+    synthetic_stats,
+)
 
 
 def _closed_forms(cfg, stats):
@@ -52,10 +57,11 @@ def test_coefficients_nonnegative_and_copilot_structure():
     pilot_of = stats.pilot_of
     mu_tau = cfg.mu * cfg.tau_d
     assert table.shape == (4, 4, 2)
+    R, rhat = dense_covariance(stats), direct_rhat(stats, cfg)
     for k in range(4):
         coeff = table[k]
         assert np.all(coeff > 0.0)
-        base = mu_tau * np.einsum("ilab,lba->il", cache.Rhat, cache.R[k]).real
+        base = mu_tau * np.einsum("ilab,lba->il", rhat, R[k]).real
         for i in range(4):
             if pilot_of[i] == pilot_of[k]:
                 # Beam alignment through the shared pilot adds energy.
@@ -70,7 +76,8 @@ def test_orthogonal_pilots_leave_only_matched_filter_terms():
     mu_tau = cfg.mu * cfg.tau_d
     k = 1
     coeff = table[k]
-    base = mu_tau * np.einsum("ilab,lba->il", cache.Rhat, cache.R[k]).real
+    base = mu_tau * np.einsum("ilab,lba->il", direct_rhat(stats, cfg),
+                              dense_covariance(stats)[k]).real
     others = [i for i in range(3) if i != k]
     assert np.allclose(coeff[others], base[others], rtol=1e-12)
     assert np.all(coeff[k] > base[k])
@@ -86,7 +93,7 @@ def test_ap_transmit_power_definition():
     n = 40_000
     g = sample_realization(stats, rng, size=n)
     ghat = lmmse_estimate(sample_pilot_observation(g, stats, cfg, rng),
-                          cache, cfg)
+                          stats, cfg)
     s = np.exp(2j * np.pi * rng.uniform(size=(n, 4, 3)))
     x = np.einsum("kl,bkln,bkl->bln", np.sqrt(p), ghat.conj(), s)
     radiated = np.sum(np.abs(x) ** 2, axis=2)           # (n, L)
@@ -99,7 +106,7 @@ def test_oracle_agrees_with_closed_form():
     cfg, stats = synthetic_stats(L=2, K=3, N=2, tau_p=2, seed=46)
     cache, coef = _closed_forms(cfg, stats)
     p = np.random.default_rng(2).uniform(0.2, 1.0, size=(3, 2))
-    est, se = harvested_energy_oracle(p, cache, stats, cfg, mc_samples=30_000,
+    est, se = harvested_energy_oracle(p, stats, cfg, mc_samples=30_000,
                                       rng=np.random.default_rng(3))
     closed = harvested_energy(p, coef)
     assert est.shape == se.shape == (3,)
@@ -110,13 +117,13 @@ def test_oracle_zero_power_is_exact():
     cfg, stats = synthetic_stats(L=1, K=2, N=2, tau_p=1, seed=47)
     cache, coef = _closed_forms(cfg, stats)
     p = np.zeros((2, 1))
-    est, se = harvested_energy_oracle(p, cache, stats, cfg,
+    est, se = harvested_energy_oracle(p, stats, cfg,
                                       mc_samples=100, rng=np.random.default_rng(4))
     assert np.all(est == 0.0) and np.all(se == 0.0)
     assert np.all(harvested_energy(p, coef) == 0.0)
 
 
-def _per_ue_energy_reference(p, cache, stats, cfg, mc_samples, rng):
+def _per_ue_energy_reference(p, stats, cfg, mc_samples, rng):
     """The energy oracle written out one UE at a time on shared draws.
 
     Per batch: realizations, pilot observations, energy-symbol phases,
@@ -130,7 +137,7 @@ def _per_ue_energy_reference(p, cache, stats, cfg, mc_samples, rng):
         n = min(MC_BATCH, mc_samples - done)
         g = sample_realization(stats, rng, size=n)
         z = sample_pilot_observation(g, stats, cfg, rng)
-        ghat = lmmse_estimate(z, cache, cfg)
+        ghat = lmmse_estimate(z, stats, cfg)
         s = np.exp(2j * np.pi * rng.uniform(size=(n, K, L)))
         for k in range(K):
             inner = np.einsum("biln,bln->bil", ghat.conj(), g[:, k])
@@ -146,12 +153,11 @@ def _per_ue_energy_reference(p, cache, stats, cfg, mc_samples, rng):
 def test_oracle_matches_per_ue_reference():
     """One pass over the draws gives every UE's per-UE estimate."""
     cfg, stats = synthetic_stats(L=2, K=4, N=3, tau_p=2, seed=48)
-    cache = build_cache(stats, cfg)
     p = np.random.default_rng(6).uniform(0.2, 1.0, size=(4, 2))
     samples = 2 * MC_BATCH + 500   # a short last batch as well
-    got = harvested_energy_oracle(p, cache, stats, cfg, samples,
+    got = harvested_energy_oracle(p, stats, cfg, samples,
                                   np.random.default_rng(7))
-    want = _per_ue_energy_reference(p, cache, stats, cfg, samples,
+    want = _per_ue_energy_reference(p, stats, cfg, samples,
                                     np.random.default_rng(7))
     np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(got[1], want[1], rtol=1e-12, atol=0.0)
