@@ -163,24 +163,23 @@ def run_cdf(out_dir, out=None):
     if not manifest_path.exists():
         print(f"error: no manifest.json under {out_path}", file=sys.stderr)
         return 2
+    per_ue = {"MMF": [], "FPC": []}
+    min_se = {"MMF": [], "FPC": []}
     try:
         with open(manifest_path) as f:
-            manifest = json.load(f)
-    except json.JSONDecodeError as exc:
-        print(f"error: unreadable manifest: {exc}", file=sys.stderr)
+            records = json.load(f).get("records", [])
+        for rec in records:
+            per_ue["MMF"].extend(map(float, rec["se_mmf"]))
+            per_ue["FPC"].extend(map(float, rec["se_fpc"]))
+            min_se["MMF"].append(float(rec["min_se_mmf"]))
+            min_se["FPC"].append(float(rec["min_se_fpc"]))
+    except (ValueError, AttributeError, KeyError, TypeError) as exc:
+        # Not JSON, or JSON without the optimize manifest's shape.
+        print(f"error: unreadable manifest: {exc!r}", file=sys.stderr)
         return 2
-    records = manifest.get("records", [])
     if not records:
         print("error: manifest contains no setup records", file=sys.stderr)
         return 2
-
-    per_ue = {"MMF": [], "FPC": []}
-    min_se = {"MMF": [], "FPC": []}
-    for rec in records:
-        per_ue["MMF"].extend(rec["se_mmf"])
-        per_ue["FPC"].extend(rec["se_fpc"])
-        min_se["MMF"].append(rec["min_se_mmf"])
-        min_se["FPC"].append(rec["min_se_fpc"])
 
     def write_cdf(name, table):
         with open(out_path / name, "w", newline="") as f:

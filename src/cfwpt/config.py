@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 class ConfigError(ValueError):
@@ -67,12 +67,9 @@ class ScenarioConfig:
             raise ConfigError("mc_samples must be >= 1 and seed >= 0")
 
 
-_INT_KEYS = {"L", "K", "N", "tau_c", "tau_p", "tau_d", "tau_u", "seed", "mc_samples"}
-_FLOAT_KEYS = {
-    "area_side", "height_diff", "carrier_freq",
-    "rho_p", "rho_d", "sigma2", "mu",
-}
-_STR_KEYS = {"ap_placement"}
+# One parser per ScenarioConfig field, read off its annotation.
+_PARSERS = {f.name: {"int": int, "float": float, "str": str}[f.type]
+            for f in fields(ScenarioConfig)}
 # Convenience spellings converted to watts once, at parse time.
 _DBM_KEYS = {"rho_p_dbm": "rho_p", "rho_d_dbm": "rho_d", "sigma2_dbm": "sigma2"}
 # Propagation overrides (see geometry.PropagationModel).
@@ -107,19 +104,18 @@ def load_config(path):
     """
     from .geometry import PropagationModel
 
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
 
     cfg_kwargs = {}
     prop_kwargs = {}
     for lineno, key, value in _parse_lines(text):
         try:
-            if key in _INT_KEYS:
-                cfg_kwargs[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                cfg_kwargs[key] = float(value)
-            elif key in _STR_KEYS:
-                cfg_kwargs[key] = value
+            if key in _PARSERS:
+                cfg_kwargs[key] = _PARSERS[key](value)
             elif key in _DBM_KEYS:
                 cfg_kwargs[_DBM_KEYS[key]] = dbm_to_watt(float(value))
             elif key in _PROP_TRIPLE_KEYS:

@@ -136,23 +136,24 @@ def optimal_lsfd(eta, se):
     Raises numpy.linalg.LinAlgError if some system is not positive
     definite.
     """
-    interference = np.einsum("m,kmlw->klw", np.asarray(eta, dtype=float), se.C)
-    return _decoding_weights(interference, se)
+    return _decoding_weights(np.broadcast_to(eta, se.second.shape[:2]), se)
 
 
-def _decoding_weights(interference, se):
-    """Solve (interference_k + diag D_k) a_k = b_k for every UE k.
+def _decoding_weights(w, se):
+    """Solve (sum_m w_km C_km + diag D_k) a_k = b_k for every UE k.
 
-    A stacked Cholesky checks that the K systems are positive definite,
-    then one stacked solve gives the weights; interference is
-    overwritten.
+    The K matrices are formed from the factors of C: a batched product
+    for the co-pilot rank-one terms plus a diagonal.  A stacked Cholesky
+    checks that they are positive definite, then one stacked solve gives
+    the weights.
     """
+    M = (w[..., None] * se.u).swapaxes(1, 2) @ se.u.conj()
     idx = np.arange(se.D.shape[1])
-    interference[:, idx, idx] += se.D
-    np.linalg.cholesky(interference)
+    M[:, idx, idx] += (w[:, None, :] @ (se.second - np.abs(se.u) ** 2))[:, 0] + se.D
+    np.linalg.cholesky(M)
     # The explicit trailing axis keeps b a stack of vectors under both
     # numpy 1.x and 2.x broadcasting rules.
-    return np.linalg.solve(interference, se.b[..., None] + 0j)[..., 0]
+    return np.linalg.solve(M, se.b[..., None] + 0j)[..., 0]
 
 
 def upper_bound_tmax(se, cache, stats, cfg):
@@ -163,13 +164,11 @@ def upper_bound_tmax(se, cache, stats, cfg):
     from above.  Zero means some UE cannot cover its pilot energy even
     under this most generous allocation.
     """
-    K = se.b.shape[0]
-    own = np.arange(K)
-    coef = energy_coefficient_table(se, cfg)
+    coef = np.einsum("kkl->kl", energy_coefficient_table(se, cfg))
     # UE k alone: p_kl = rho_d / tr(Rhat_kl), every other row of p zero.
-    energy = np.sum(cfg.rho_d / cache.tr_rhat * coef[own, own], axis=1)
+    energy = np.sum(cfg.rho_d / cache.tr_rhat * coef, axis=1)
     eta = np.maximum(0.0, (energy - cfg.tau_p * cfg.rho_p) / cfg.tau_u)
-    a = _decoding_weights(eta[:, None, None] * se.C[own, own], se)
+    a = _decoding_weights(np.diag(eta), se)
     # With its optimal weights a_k^H b_k = a_k^H M_k a_k = q_k, so the
     # lone UE's SINR is eta_k q_k / (1 - eta_k q_k).
     q = np.einsum("kl,kl->k", a.conj(), se.b).real

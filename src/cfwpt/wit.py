@@ -20,22 +20,34 @@ from .channel import draw_estimates, mean_and_stderr
 
 @dataclass(frozen=True)
 class SEStatistics:
-    """Long-term decoding statistics per UE.
+    """Long-term decoding statistics per UE, with C kept in factors.
 
-    b[k, l]       = E{ghat_kl^H g_kl}, real and non-negative.
-    C[k, m, l, l'] = E{ghat_kl^H g_ml g_ml'^H ghat_kl'}, Hermitian PSD
-                    in (l, l'); zero off the diagonal unless m shares
-                    UE k's pilot.
-    D[k, l]       = sigma^2 tr(Rhat_kl), the effective noise weights.
+    b[k, l]         = E{ghat_kl^H g_kl}, real and non-negative.
+    second[k, m, l] = E|ghat_kl^H g_ml|^2, the same-AP second moments.
+    u[k, m, l]      = the co-pilot factor, zero unless m shares k's pilot.
+    D[k, l]         = sigma^2 tr(Rhat_kl), the effective noise weights.
+
+    Cross-AP correlation survives only through a shared pilot, so
+    C_km = E{ghat_k^H g_m g_m^H ghat_k} is u_km u_km^H with its diagonal
+    set to second_km.
     """
 
-    b: np.ndarray   # (K, L) real
-    C: np.ndarray   # (K, K, L, L) complex
-    D: np.ndarray   # (K, L) real
+    b: np.ndarray        # (K, L) real
+    second: np.ndarray   # (K, K, L) real
+    u: np.ndarray        # (K, K, L) complex
+    D: np.ndarray        # (K, L) real
+
+    @property
+    def C(self):
+        """Dense (K, K, L, L) C_km, built on demand for validation."""
+        C = self.u[..., :, None] * self.u[..., None, :].conj()
+        idx = np.arange(self.b.shape[1])
+        C[:, :, idx, idx] = self.second
+        return C
 
 
 def lsfd_statistics(cache, stats, cfg):
-    """Closed-form b, C, D as elementwise (K, K, L) terms of the cache's
+    """Closed-form SEStatistics as elementwise (K, K, L) terms of the cache's
     Gram factors, with R_k = gbar_k gbar_k^H + beta_k I and Psi = Psi_kl."""
     rho_tau = cfg.rho_p * cfg.tau_p
     b, own = cache.tr_rhat, cache.own
@@ -48,16 +60,12 @@ def lsfd_statistics(cache, stats, cfg):
     # tr(Rhat_k R_m) = rho_tau v^H Psi^-1 v + beta_m b_k, v = R_k gbar_m.
     tr_rhat_r = rho_tau * (np.abs(cache.gram) ** 2 * g_kk + 2.0 * beta_k
                            * hg.real + beta_k ** 2 * own) + beta_m * b[:, None]
-    mask = (rho_tau ** 2) * (stats.pilot_of[:, None] == stats.pilot_of)[..., None]
-    # Cross-AP correlation survives only through the shared pilot: the
-    # factors separate per AP as u and its conjugate.
-    C = mask[..., None] * (u[..., :, None] * u[..., None, :].conj())
-    # Same-AP second moments E|ghat_kl^H g_ml|^2; scaled by mu tau_d
-    # they are the harvested-energy coefficients (wpt reads them here).
-    idx = np.arange(b.shape[1])
-    C[:, :, idx, idx] = tr_rhat_r + mask * (
+    copilot = (stats.pilot_of[:, None] == stats.pilot_of)[..., None]
+    # Scaled by mu tau_d, second is also the harvested-energy table.
+    second = tr_rhat_r + (rho_tau ** 2) * copilot * (
         2.0 * beta_m * tr_m * quad.real + beta_m ** 2 * tr_m ** 2)
-    return SEStatistics(b=b, C=C, D=cfg.sigma2 * b)
+    return SEStatistics(b=b, second=second, u=rho_tau * copilot * u,
+                        D=cfg.sigma2 * b)
 
 
 def sinr_terms(a, se):
@@ -68,11 +76,10 @@ def sinr_terms(a, se):
     a_k^H C_km a_k and noise[k] = sum_l |a_kl|^2 D_kl, so that
     SINR_k = eta_k gain_k / (sum_m eta_m cross_km - eta_k gain_k + noise_k).
     """
-    K, L = se.b.shape
     a = np.asarray(a, dtype=complex)
-    # cross[k, m] from two batched products per UE.
-    c_a = (se.C.reshape(K, K * L, L) @ a[:, :, None]).reshape(K, K, L)
-    cross = (c_a @ a.conj()[:, :, None])[..., 0].real
+    # cross[k, m] = sum_l (second - |u|^2)_kml |a_kl|^2 + |u_km^H a_k|^2.
+    same_ap = (se.second - np.abs(se.u) ** 2) @ (np.abs(a) ** 2)[:, :, None]
+    cross = (same_ap + np.abs(se.u @ a.conj()[:, :, None]) ** 2)[..., 0]
     gain = np.abs(np.einsum("kl,kl->k", a.conj(), se.b + 0j)) ** 2
     noise = np.einsum("kl,kl->k", np.abs(a) ** 2, se.D)
     return gain, cross, noise
@@ -120,15 +127,14 @@ def se_statistics_oracle(stats, cfg, mc_samples, rng):
     d_sum, d_sq = np.zeros((K, L)), np.zeros((K, L))
     kk = np.arange(K)
     for g, ghat in draw_estimates(stats, cfg, mc_samples, rng):
-        x = np.einsum("bkln,bmln->bkml", ghat.conj(), g)
-        y_b = x[:, kk, kk, :]
-        y_d = cfg.sigma2 * np.einsum("bkln,bkln->bkl", ghat, ghat.conj()).real
         # Sums over the draws of x_l conj(x_l') and |x_l|^2 |x_l'|^2 as
         # batched (L, batch) @ (batch, L) products, draws on the last axis.
-        xt = np.ascontiguousarray(np.moveaxis(x, 0, -1))
+        xt = np.einsum("bkln,bmln->kmlb", ghat.conj(), g)
+        y_b = xt[kk, kk]
+        y_d = cfg.sigma2 * np.einsum("bkln,bkln->bkl", ghat, ghat.conj()).real
         x_sq = np.abs(xt) ** 2
-        b_sum += y_b.sum(axis=0)
-        b_sq += (np.abs(y_b) ** 2).sum(axis=0)
+        b_sum += y_b.sum(axis=-1)
+        b_sq += (np.abs(y_b) ** 2).sum(axis=-1)
         c_sum += xt @ xt.conj().swapaxes(-1, -2)
         c_sq += x_sq @ x_sq.swapaxes(-1, -2)
         d_sum += y_d.sum(axis=0)

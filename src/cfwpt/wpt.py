@@ -4,10 +4,9 @@ Each AP beamforms independent energy symbols with the conjugated
 channel estimates (no inter-AP phase synchronization), so the average
 energy harvested by a UE is a linear function of the power coefficients
 p_il.  Its gradient dE_k/dp_il = mu tau_d E|ghat_il^H g_kl|^2 is the
-same second moment as the diagonal C[i, k, l, l] of the decoding
-statistics, so it is read off wit.lsfd_statistics rather than derived
-again.  Energy is accounted in W*samples; only energy ratios matter
-downstream.
+same second moment as the table `second` of the decoding statistics,
+so it is read off wit.lsfd_statistics rather than derived again.
+Energy is accounted in W*samples; only energy ratios matter downstream.
 """
 
 from __future__ import annotations
@@ -34,10 +33,10 @@ def harvested_energy_coefficients(se, cfg):
     the closed form (as a dot product with p) and supplies the energy
     constraint of UE k in the max-min LP.
     """
-    second = np.einsum("ikll->kil", se.C).real   # E|ghat_il^H g_kl|^2
-    # A C-ordered copy: sums over the strided diagonal view would run in
-    # another order and move downstream results in the last bits.
-    return cfg.mu * cfg.tau_d * np.ascontiguousarray(second)
+    # second[i, k, l] = E|ghat_il^H g_kl|^2.  A C-ordered copy: sums over
+    # the transposed view would run in another order and move downstream
+    # results in the last bits.
+    return cfg.mu * cfg.tau_d * np.ascontiguousarray(se.second.transpose(1, 0, 2))
 
 
 def harvested_energy(p, coef):

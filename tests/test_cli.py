@@ -257,6 +257,27 @@ def test_main_rejects_bad_counts(command, option, value, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name, content, argv", [
+    ("bad.cfg", b"K = \xff\xfe\n",
+     ["optimize", "-c", "{path}", "--setups", "1", "-o", "{dir}/out"]),
+    ("manifest.json", b"[]", ["cdf", "-o", "{dir}"]),
+    ("manifest.json", b'{"records": [{"se_fpc": [1.0], "min_se_mmf": 1.0,'
+                      b' "min_se_fpc": 1.0}]}', ["cdf", "-o", "{dir}"]),
+    ("manifest.json", b'{"records": [{"se_mmf": ["x"], "se_fpc": [1.0],'
+                      b' "min_se_mmf": 1.0, "min_se_fpc": 1.0}]}',
+     ["cdf", "-o", "{dir}"]),
+], ids=["non-utf8-config", "manifest-not-an-object", "record-without-se_mmf",
+        "se-not-a-number"])
+def test_main_rejects_malformed_input(name, content, argv, tmp_path, capsys):
+    """Input that cannot be decoded, or that parses but has the wrong
+    shape, exits 2 with a message instead of a traceback."""
+    path = tmp_path / name
+    path.write_bytes(content)
+    assert main([arg.format(path=path, dir=tmp_path) for arg in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_optimize_runs_without_scipy(tmp_path):
     """A whole optimize + cdf run in a fresh interpreter imports no scipy."""
     script = (

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -114,6 +114,32 @@ def test_load_config_round_trip(tmp_path):
     assert prop.shadow_std_los == 0.0
     assert prop.pathloss_nlos == (40.0, 12.0, 20.0)
     assert prop.shadow_std_nlos == PropagationModel().shadow_std_nlos
+
+
+def test_load_config_reads_every_field(tmp_path):
+    """Every ScenarioConfig field is a config key parsed to its own type."""
+    cfg = ScenarioConfig(
+        L=9, K=7, N=3, area_side=250.5, height_diff=2.5, carrier_freq=2.1,
+        tau_c=150, tau_p=3, tau_d=40, tau_u=107, rho_p=2e-7, rho_d=0.125,
+        sigma2=3.5e-13, mu=0.35, seed=42, mc_samples=1234,
+        ap_placement="random")
+    default = ScenarioConfig()
+    assert all(getattr(cfg, f.name) != getattr(default, f.name)
+               for f in fields(cfg))
+    path = tmp_path / "every.cfg"
+    path.write_text("".join(f"{f.name} = {getattr(cfg, f.name)}\n"
+                            for f in fields(cfg)))
+    got, _ = load_config(path)
+    assert got == cfg
+    assert all(type(getattr(got, f.name)) is type(getattr(cfg, f.name))
+               for f in fields(cfg))
+
+
+def test_load_config_rejects_non_utf8(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"K = \xff\xfe\n")
+    with pytest.raises(ConfigError, match="UTF-8"):
+        load_config(path)
 
 
 def test_load_config_rejects_unknown_key(tmp_path):

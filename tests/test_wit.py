@@ -1,9 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from cfwpt.channel import MC_BATCH, draw_estimates, mean_and_stderr
 from cfwpt.estimation import build_cache
-from cfwpt.wit import lsfd_statistics, se_statistics_oracle, sinr, spectral_efficiency
+from cfwpt.wit import (SEStatistics, lsfd_statistics, se_statistics_oracle, sinr,
+                       spectral_efficiency)
 
 from test_estimation import _scalar_setup
 from helpers import dense_covariance, dense_psi_inv_r, synthetic_stats
@@ -41,6 +44,14 @@ def test_b_equals_trace_of_rhat():
         for l in range(cfg.L):
             direct[k, l] = rho_tau * np.trace(m_mat[k, l] @ R[k, l]).real
     assert np.allclose(se.b, direct, rtol=1e-10)
+
+
+def test_statistics_size_linear_in_aps():
+    """No stored array has two AP axes: quadrupling L quadruples the bytes."""
+    def nbytes(L):
+        se = _instance(L=L, K=5, N=3, tau_p=2)[3]
+        return sum(getattr(se, f.name).nbytes for f in fields(se))
+    assert nbytes(16) == 4 * nbytes(4)
 
 
 def test_c_hermitian_and_psd_on_diagonal_block():
@@ -114,7 +125,8 @@ def test_sinr_zero_power():
 
 def test_sinr_rejects_nonpositive_denominator():
     cfg, stats, cache, se = _instance(seed=59)
-    bad = type(se)(b=se.b, C=se.C * 0.0, D=se.D * 0.0)
+    bad = SEStatistics(b=se.b, second=0.0 * se.second, u=0.0 * se.u,
+                       D=0.0 * se.D)
     a = np.ones((cfg.K, cfg.L), dtype=complex)
     with pytest.raises(ValueError, match="denominator"):
         sinr(a, np.ones(cfg.K), bad)
