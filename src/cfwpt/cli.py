@@ -69,6 +69,10 @@ def _run_setup(task):
         "status": mmf.status,
         "cap_hit": bool(mmf.cap_hit),
         "t_star": float(mmf.t_star),
+        "probes": len(mmf.trace),
+        "infeasible_probes": sum(1 for _, ok, _ in mmf.trace if not ok),
+        "lp_pivots": mmf.lp_pivots,
+        "bracket": [float(v) for v in mmf.bracket],
         "se_mmf": [float(v) for v in mmf.per_ue_se],
         "se_fpc": [float(v) for v in fpc.per_ue_se],
         "min_se_mmf": float(mmf.per_ue_se.min()),
@@ -168,11 +172,18 @@ def run_cdf(out_dir, out=None):
     try:
         with open(manifest_path) as f:
             records = json.load(f).get("records", [])
-        for rec in records:
-            per_ue["MMF"].extend(map(float, rec["se_mmf"]))
-            per_ue["FPC"].extend(map(float, rec["se_fpc"]))
-            min_se["MMF"].append(float(rec["min_se_mmf"]))
-            min_se["FPC"].append(float(rec["min_se_fpc"]))
+        for i, rec in enumerate(records):
+            mmf = [float(v) for v in rec["se_mmf"]]
+            fpc = [float(v) for v in rec["se_fpc"]]
+            low = [float(rec["min_se_mmf"]), float(rec["min_se_fpc"])]
+            if not np.all(np.isfinite(mmf + fpc + low)):
+                print(f"error: record {i} (setup_id {rec.get('setup_id')}) "
+                      "holds a non-finite SE", file=sys.stderr)
+                return 2
+            per_ue["MMF"] += mmf
+            per_ue["FPC"] += fpc
+            min_se["MMF"].append(low[0])
+            min_se["FPC"].append(low[1])
     except (ValueError, AttributeError, KeyError, TypeError) as exc:
         # Not JSON, or JSON without the optimize manifest's shape.
         print(f"error: unreadable manifest: {exc!r}", file=sys.stderr)

@@ -1,22 +1,38 @@
-"""Linear feasibility via a dense phase-I primal simplex.
+"""Linear feasibility via a dense dual simplex with a carried basis.
 
 Solves "does {A x <= b, x >= 0} have a point?" and returns one when it
-does.  Problem sizes here are tiny (a few hundred variables), so a
-dense tableau is plenty.  The entering column is the one with the most
-negative reduced cost (Dantzig's rule), which needs far fewer pivots
-than Bland's lowest-index rule; after a run of degenerate pivots the
-rest of the call falls back to Bland's rule, which cannot cycle, so
-every call still terminates.
+does.  With a slack per row and a zero objective every basis is dual
+feasible, so there are no artificial columns and no objective row: a
+negative basic variable leaves the basis until none is left (a feasible
+point), or until its row has no negative entry; then that row of B^-1
+is a Farkas certificate y >= 0 with y A >= 0 and y b < 0.
+
+B^-1 is dense (a few dozen rows here) and updated in place, one
+rank-one step per pivot; every verdict is confirmed on a fresh
+factorization, since the updates drift on ill-conditioned intermediate
+bases.  Callers that ask about one A with changing b (the bisection
+probes of one drop) pass a WarmStart: each call re-factors the basis
+the last one ended in and usually needs a few pivots.  A carried basis
+that is singular or ill-conditioned gives way to the all-slack basis.
+
+Pricing: the basic variable with the largest infeasibility scaled by its
+B^-1 row norm leaves (dual steepest edge), and the row's most negative
+entry enters.  After stall_limit pivots without a new lowest total
+infeasibility, the rest of the call uses Bland's rule: the lowest basic
+index leaves and the lowest column index enters, among entries within
+BLAND_RATIO of the row's largest so that no rounding-sized pivot is
+taken.  The pivot cap bounds every call.
 
 The raw constraint data spans many orders of magnitude (power
 coefficients around 1e7 against harvested energies around 1e-7), so
-rows and columns are equilibrated before pivoting and the solution is
-mapped back to original units at the end.
+rows and columns of A are equilibrated before pivoting and the solution
+is mapped back to original units at the end.  The scaling depends on A
+alone, so a WarmStart computes it once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,102 +49,138 @@ class LPProblem:
     b: np.ndarray   # (m,)
 
 
-# Tolerances in equilibrated units: the phase-I optimum counts as
-# feasible at or below TOL_FEASIBLE, a reduced cost below -TOL_RC
-# prices a column in, and a pivot entry must exceed TOL_PIV.
-TOL_FEASIBLE = 1e-9
-TOL_RC = 1e-10
-TOL_PIV = 1e-11
+@dataclass
+class WarmStart:
+    """Simplex state carried between calls on one A; updated in place.
 
-
-def lp_feasible(lp, max_iter=None, stall_limit=50):
-    """Phase-I simplex: a feasible x (ndarray) or None.
-
-    Feasible means the minimized total artificial infeasibility is
-    <= TOL_FEASIBLE.  After stall_limit degenerate pivots in a row,
-    Bland's rule prices the rest of the call (0 means Bland
-    throughout).  Raises SimplexIterationError if the pivot cap is hit.
+    basis (m,) names the column basic in each row: j < n is variable j,
+    n + i the slack of row i; None means the all-slack basis.  row is
+    the row whose B^-1 row certified the last infeasible verdict (None
+    after a feasible one), and pivots counts pivots over all calls.  It
+    also keeps the equilibration of the last A it saw, matched by
+    identity: pass a new array, not one changed in place.
     """
-    A = np.asarray(lp.A, dtype=float)
-    b = np.asarray(lp.b, dtype=float)
-    m, n = A.shape
-    if n == 0:
-        return np.zeros(0) if np.all(b >= -TOL_FEASIBLE) else None
-    if m == 0 or np.all(b >= 0.0):
-        return np.zeros(n)
 
-    # Equilibrate: scale rows to unit max entry, then columns likewise.
-    # Row scaling preserves the feasible set; column scaling substitutes
-    # x_scaled = col_scale * x and is undone on exit.
-    row_scale = np.maximum(np.max(np.abs(A), axis=1), np.abs(b))
+    basis: np.ndarray | None = None
+    row: int | None = None
+    pivots: int = 0
+    _scaled: tuple | None = field(default=None, repr=False)  # (A, ...)
+
+
+# Tolerances in equilibrated units, relative to the sum of magnitudes a
+# value is formed from: a basic variable counts as feasible at or above
+# -TOL_FEASIBLE times it, and a pivot entry must lie below -TOL_PIV
+# times it for its row.  A carried basis whose inverse has an entry
+# above MAX_INVERSE counts as ill-conditioned.
+TOL_FEASIBLE = 1e-9
+TOL_PIV = 1e-11
+MAX_INVERSE = 1e10
+BLAND_RATIO = 1e-2
+
+
+def _equilibrate(A):
+    """([A' I], row_scale, col_scale): A scaled to unit max entries, rows
+    first.  Row scaling keeps the feasible set; column scaling
+    substitutes x' = col_scale * x."""
+    row_scale = np.max(np.abs(A), axis=1, initial=0.0)
     row_scale[row_scale == 0.0] = 1.0
     A = A / row_scale[:, None]
-    b = b / row_scale
-    col_scale = np.max(np.abs(A), axis=0)
+    col_scale = np.max(np.abs(A), axis=0, initial=0.0)
     col_scale[col_scale == 0.0] = 1.0
-    A = A / col_scale[None, :]
+    return np.hstack([A / col_scale, np.eye(A.shape[0])]), row_scale, col_scale
 
-    # Slack per row; rows with negative rhs are negated and get an
-    # artificial variable so the all-slack basis is feasible.
-    neg = b < 0.0
-    art_rows = np.flatnonzero(neg)
-    n_art = art_rows.size
-    ncols = n + m + n_art
 
-    T = np.zeros((m + 1, ncols + 1))
-    T[:m, :n] = np.where(neg[:, None], -A, A)
-    T[np.arange(m), n + np.arange(m)] = np.where(neg, -1.0, 1.0)
-    for j, i in enumerate(art_rows):
-        T[i, n + m + j] = 1.0
-    T[:m, -1] = np.where(neg, -b, b)
+def _factor(M, basis, limit=MAX_INVERSE):
+    """(basis, B^-1) factored from M, or the all-slack basis and identity
+    if basis is missing or singular or B^-1 has an entry above limit."""
+    m, cols = M.shape
+    if basis is not None and basis.shape == (m,) \
+            and np.all((0 <= basis) & (basis < cols)):
+        try:
+            Binv = np.linalg.inv(M[:, basis])
+        except np.linalg.LinAlgError:
+            Binv = None
+        if Binv is not None and np.abs(Binv).max() <= limit:
+            return basis.copy(), Binv
+    return cols - m + np.arange(m), np.eye(m)
 
-    basis = np.where(neg, 0, n + np.arange(m))
-    basis[art_rows] = n + m + np.arange(n_art)
 
-    # Objective row: reduced costs for minimizing the artificial sum.
-    # With the initial basis, r_j = c_j - sum of artificial rows at j.
-    T[m, :] = -T[art_rows, :].sum(axis=0)
-    T[m, n + m:ncols] += 1.0
+def lp_feasible(lp, max_iter=None, stall_limit=50, warm=None):
+    """Dual simplex: a feasible x (ndarray) or None.
+
+    After stall_limit pivots in a row without a new lowest total
+    infeasibility, Bland's rule prices the rest of the call (0 means
+    Bland throughout).  warm, a WarmStart, supplies the starting basis
+    and receives the final one.  Raises SimplexIterationError if the
+    pivot cap is hit.
+    """
+    b = np.asarray(lp.b, dtype=float)
+    m, n = np.shape(lp.A)
+    warm = WarmStart() if warm is None else warm
+    warm.row = None
+    if np.all(b >= 0.0):
+        return np.zeros(n)
+
+    if warm._scaled is None or warm._scaled[0] is not lp.A:
+        warm._scaled = (lp.A, *_equilibrate(np.asarray(lp.A, dtype=float)))
+    _, M, row_scale, col_scale = warm._scaled
+    b = b / row_scale
+    basis, Binv = _factor(M, warm.basis)
+    beta = Binv @ b             # basic variable values
+    fresh = True                # no update to Binv since it was factored
+    work = np.empty((m, m))
 
     if max_iter is None:
-        max_iter = 500 + 50 * (m + ncols)
-
-    stalled = 0                 # degenerate pivots in a row
+        max_iter = 500 + 50 * (2 * m + n)
+    best = np.inf               # lowest total infeasibility so far
+    stalled = 0                 # pivots since it was reached
     bland = stall_limit <= 0
-    for _ in range(max_iter):
-        reduced = T[m, :ncols]
-        candidates = np.flatnonzero(reduced < -TOL_RC)
-        if candidates.size == 0:
-            break
+    pivots = 0
+    while True:
+        tol = TOL_FEASIBLE * (np.abs(Binv) @ np.abs(b))
+        rows = np.flatnonzero(beta < -tol)
+        if rows.size:
+            total = -beta[rows].sum()
+            stalled = 0 if total < best else stalled + 1
+            best = min(best, total)
+            bland = bland or stalled >= stall_limit
+            if bland:
+                leave = rows[np.argmin(basis[rows])]
+            else:
+                weight = np.einsum("ij,ij->i", Binv[rows], Binv[rows])
+                leave = rows[np.argmax(beta[rows] ** 2 / weight)]
+            alpha = Binv[leave] @ M
+            cols = np.flatnonzero(alpha < -TOL_PIV * np.abs(Binv[leave]).sum())
+        if rows.size == 0 or cols.size == 0:
+            if fresh:
+                break
+            basis, Binv = _factor(M, basis, limit=np.inf)
+            beta, fresh = Binv @ b, True
+            continue
+        if pivots >= max_iter:
+            raise SimplexIterationError(f"no convergence in {max_iter} pivots")
         if bland:
-            enter = candidates[0]                  # lowest index
+            enter = cols[alpha[cols] <= BLAND_RATIO * alpha[cols].min()][0]
         else:
-            enter = candidates[np.argmin(reduced[candidates])]
-        col = T[:m, enter]
-        rows = np.flatnonzero(col > TOL_PIV)
-        if rows.size == 0:
-            raise SimplexIterationError(
-                "phase-I objective unbounded below; inconsistent tableau")
-        ratios = T[rows, -1] / col[rows]
-        best = ratios.min()
-        ties = rows[ratios <= best + TOL_PIV]
-        leave = ties[np.argmin(basis[ties])]       # lowest basis index on ties
-        stalled = stalled + 1 if best <= TOL_PIV else 0
-        bland = bland or stalled >= stall_limit
-        T[leave, :] /= T[leave, enter]
-        factor = T[:, enter].copy()
-        factor[leave] = 0.0
-        T -= np.outer(factor, T[leave, :])
+            enter = cols[np.argmin(alpha[cols])]
+
+        col = Binv @ M[:, enter]
+        Binv[leave] /= col[leave]
+        beta[leave] /= col[leave]
+        col[leave] = 0.0
+        np.multiply(col[:, None], Binv[leave], out=work)
+        Binv -= work
+        beta -= col * beta[leave]
         basis[leave] = enter
-    else:
-        raise SimplexIterationError(f"no convergence in {max_iter} pivots")
+        pivots += 1
+        fresh = False
 
-    infeasibility = -T[m, -1]
-    if infeasibility > TOL_FEASIBLE:
+    warm.basis = basis
+    warm.pivots += pivots
+    if rows.size:
+        warm.row = int(leave)
         return None
-
     x = np.zeros(n)
-    original = basis < n
-    x[basis[original]] = T[:m, -1][original]
-    x = np.maximum(x, 0.0) / col_scale
-    return x
+    structural = basis < n
+    x[basis[structural]] = np.maximum(beta[structural], 0.0)
+    return x / col_scale

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import LPProblem, lp_feasible
+from .lp import LPProblem, WarmStart, lp_feasible
 from .wit import sinr, sinr_terms, spectral_efficiency
 from .wpt import PowerAllocation, harvested_energy
 # The energy table, also bound under its maxmin name, which perfbench's
@@ -35,6 +35,8 @@ class MaxMinResult:
     the latter means not even t = 0 admits a feasible power allocation,
     i.e. some UE cannot cover its pilot energy.  cap_hit reports that
     the iteration guard stopped the loop before the bracket closed.
+    bracket is the final [t_min, t_max] of the bisection and lp_pivots
+    the simplex pivots of all its probes.
     """
 
     t_star: float
@@ -45,9 +47,11 @@ class MaxMinResult:
     trace: tuple
     status: str
     cap_hit: bool = False
+    bracket: tuple = (0.0, 0.0)
+    lp_pivots: int = 0
 
 
-def _empty_result(K, L, trace, status):
+def _empty_result(K, L, trace, bracket, lp_pivots):
     alloc = PowerAllocation(p=np.zeros((K, L)), eta=np.zeros(K))
     return MaxMinResult(
         t_star=0.0,
@@ -56,7 +60,9 @@ def _empty_result(K, L, trace, status):
         per_ue_sinr=np.zeros(K),
         per_ue_se=np.zeros(K),
         trace=tuple(trace),
-        status=status,
+        status="infeasible_at_zero",
+        bracket=bracket,
+        lp_pivots=lp_pivots,
     )
 
 
@@ -93,33 +99,39 @@ def build_feasibility_lp(eta, cache, energy_coef, cfg):
     """Inequality system whose feasibility means eta can be paid for.
 
     Variables: q_il = p_il tr(Rhat_il) / rho_d, the share of AP l's
-    budget spent on UE i.  Rows 0..K-1: UE k harvests its need
-    tau_p rho_p + tau_u eta_k, each row divided by that need.  Rows
-    K..K+L-1: sum_i q_il <= 1 at each AP.  energy_coef is the (K, K, L)
-    table from energy_coefficient_table.
+    budget spent on UE i.  Rows 0..K-1: -E_k q <= -(1 + ENERGY_MARGIN)
+    need_k, where E_k q is UE k's harvest and need_k = tau_p rho_p +
+    tau_u eta_k.  Rows K..K+L-1: sum_i q_il <= 1 at each AP.  Only b
+    depends on eta, so a solve builds A once and forms b per probe.
+    energy_coef is the (K, K, L) table from energy_coefficient_table.
     """
     K, L = cache.tr_rhat.shape
-    need = cfg.tau_p * cfg.rho_p + cfg.tau_u * np.asarray(eta, dtype=float)
     per_share = energy_coef * (cfg.rho_d / cache.tr_rhat)   # dE_k / dq_il
-    A = np.vstack([-per_share.reshape(K, K * L) / need[:, None],
-                   np.tile(np.eye(L), K)])
-    rhs = np.concatenate([np.full(K, -(1.0 + ENERGY_MARGIN)), np.ones(L)])
-    return LPProblem(A=A, b=rhs)
+    A = np.vstack([-per_share.reshape(K, K * L), np.tile(np.eye(L), K)])
+    return LPProblem(A=A, b=_feasibility_rhs(eta, L, cfg))
 
 
-def _probe(t, a, se, cache, coef, cfg):
+def _feasibility_rhs(eta, L, cfg):
+    need = cfg.tau_p * cfg.rho_p + cfg.tau_u * np.asarray(eta, dtype=float)
+    return np.concatenate([-(1.0 + ENERGY_MARGIN) * need, np.ones(L)])
+
+
+def _probe(t, a, se, cache, coef, cfg, lp, warm):
     """A power allocation that can pay for SINR t under weights a, or None.
 
-    The LP point is mapped back to powers with every AP budget clipped
-    to at most rho_d, and the energy is re-evaluated in float: eta is
-    capped at what the harvest covers after the pilot, and the probe
-    fails if some UE cannot even pay for its pilot.  So the returned
-    allocation meets both budgets by construction.
+    lp is the drop's feasibility system, whose b is replaced by the one
+    for t; warm carries the simplex basis from probe to probe.  The LP
+    point is mapped back to powers with every AP budget clipped to at
+    most rho_d, and the energy is re-evaluated in float: eta is capped
+    at what the harvest covers after the pilot, and the probe fails if
+    some UE cannot even pay for its pilot.  So the returned allocation
+    meets both budgets by construction.
     """
     eta = minimum_uplink_powers(t, a, se)
     if eta is None:
         return None
-    q = lp_feasible(build_feasibility_lp(eta, cache, coef, cfg))
+    b = _feasibility_rhs(eta, cache.tr_rhat.shape[1], cfg)
+    q = lp_feasible(LPProblem(A=lp.A, b=b), warm=warm)
     if q is None:
         return None
     q = q.reshape(cache.tr_rhat.shape)
@@ -206,13 +218,15 @@ def solve_maxmin(stats, cache, se, cfg, eps=1e-2, max_iters=200):
     """
     K, L = cache.tr_rhat.shape
     coef = energy_coefficient_table(se, cfg)
+    lp = build_feasibility_lp(np.zeros(K), cache, coef, cfg)
+    warm = WarmStart()
     a = np.ones((K, L), dtype=complex)
     trace = []
 
     t_min = 0.0
     t_max = upper_bound_tmax(se, cache, stats, cfg)
     if t_max <= 0.0:
-        return _empty_result(K, L, trace, "infeasible_at_zero")
+        return _empty_result(K, L, trace, (t_min, t_max), 0)
 
     best = None
     cap_hit = False
@@ -223,7 +237,7 @@ def solve_maxmin(stats, cache, se, cfg, eps=1e-2, max_iters=200):
             break
         iters += 1
         t = 0.5 * (t_min + t_max)
-        alloc = _probe(t, a, se, cache, coef, cfg)
+        alloc = _probe(t, a, se, cache, coef, cfg, lp, warm)
         if alloc is None:
             trace.append((t, False, None))
             t_max = t
@@ -242,10 +256,10 @@ def solve_maxmin(stats, cache, se, cfg, eps=1e-2, max_iters=200):
     if best is None:
         # Bracket collapsed without one certified point; a plain
         # feasibility check at t = 0 settles solvability.
-        alloc = _probe(0.0, a, se, cache, coef, cfg)
+        alloc = _probe(0.0, a, se, cache, coef, cfg, lp, warm)
         if alloc is None:
             trace.append((0.0, False, None))
-            return _empty_result(K, L, trace, "infeasible_at_zero")
+            return _empty_result(K, L, trace, (t_min, t_max), warm.pivots)
         best = _certify(alloc, se)
         trace.append((0.0, True, best[3]))
 
@@ -259,6 +273,8 @@ def solve_maxmin(stats, cache, se, cfg, eps=1e-2, max_iters=200):
         trace=tuple(trace),
         status="solved",
         cap_hit=cap_hit,
+        bracket=(t_min, t_max),
+        lp_pivots=warm.pivots,
     )
 
 

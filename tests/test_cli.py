@@ -278,6 +278,38 @@ def test_main_rejects_malformed_input(name, content, argv, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_cdf_rejects_non_finite_se(value, tmp_path, capsys):
+    """A manifest that parses but holds a non-finite SE exits 2, names the
+    record and writes no CDF table."""
+    good = '{"setup_id": 0, "se_mmf": [1.0], "se_fpc": [1.0],' \
+           ' "min_se_mmf": 1.0, "min_se_fpc": 1.0}'
+    bad = f'{{"setup_id": 7, "se_mmf": [{value}, 1.0], "se_fpc": [1.0, 1.0],' \
+          f' "min_se_mmf": {value}, "min_se_fpc": 1.0}}'
+    (tmp_path / "manifest.json").write_text(f'{{"records": [{good}, {bad}]}}')
+    assert main(["cdf", "-o", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "record 1 (setup_id 7)" in err
+    assert not (tmp_path / "cdf_se_per_ue.csv").exists()
+
+
+def test_manifest_records_solver_path(tmp_path):
+    """Each record carries the probe counts, the simplex pivots and the
+    final bracket of its solve, and stays a pure function of (config,
+    seed)."""
+    cfg, prop = _demo()
+    first = run_optimize(cfg, prop, setups=2, seed=5, out_dir=tmp_path / "a")
+    again = run_optimize(cfg, prop, setups=2, seed=5, out_dir=tmp_path / "b")
+    assert first["records"] == again["records"]
+    for rec in json.loads((tmp_path / "a" / "manifest.json").read_text())[
+            "records"]:
+        assert rec["probes"] >= rec["infeasible_probes"] >= 0
+        assert rec["lp_pivots"] >= 0
+        t_min, t_max = rec["bracket"]
+        if rec["status"] == "solved":
+            assert t_min <= rec["t_star"] <= t_max
+
+
 def test_optimize_runs_without_scipy(tmp_path):
     """A whole optimize + cdf run in a fresh interpreter imports no scipy."""
     script = (

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from cfwpt.lp import LPProblem, SimplexIterationError, lp_feasible
+from cfwpt.lp import LPProblem, SimplexIterationError, WarmStart, lp_feasible
 
-from helpers import oracle_feasible, random_int_lp
+from helpers import _exact_solve, oracle_feasible, random_int_lp
 
 
 def _check_point(A, b, x, tol=1e-7):
@@ -137,3 +137,69 @@ def test_wireless_scale_spread():
     b = np.array([1.0e9, -2.0e-8, 5.0e-2])
     x = lp_feasible(LPProblem(A=A, b=b))
     _check_point(A, b, x)
+
+
+@pytest.mark.parametrize("stall_limit", [0, 50])
+def test_infeasible_verdicts_carry_farkas_certificates(stall_limit):
+    """On criterion 7's draws every infeasible verdict rests on a genuine
+    certificate: y, the row of B^-1 that the solver names for its final
+    basis, rebuilt in exact arithmetic from the integer data, has y >= 0,
+    y A >= 0 and y b < 0."""
+    rng = np.random.default_rng(31415)
+    checked = 0
+    for _ in range(100):
+        A, b = random_int_lp(rng)
+        warm = WarmStart()
+        x = lp_feasible(LPProblem(A=A, b=b), stall_limit=stall_limit,
+                        warm=warm)
+        if x is not None:
+            continue
+        m, n = A.shape
+        basis = np.hstack([A, np.eye(m)])[:, warm.basis].astype(int)
+        y = _exact_solve(basis.T.tolist(), [int(i == warm.row) for i in range(m)])
+        assert y is not None, "final basis is singular"
+        assert all(v >= 0 for v in y)
+        assert all(sum(y[i] * int(A[i, j]) for i in range(m)) >= 0
+                   for j in range(n))
+        assert sum(y[i] * int(b[i]) for i in range(m)) < 0
+        checked += 1
+    assert checked == 64     # the rational oracle's infeasible draws
+
+
+def test_warm_start_reuses_and_reports_basis():
+    """A WarmStart hands each call's final basis to the next call on the
+    same A; the pivot count accumulates and row names the certificate."""
+    A = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+    warm = WarmStart()
+    x = lp_feasible(LPProblem(A=A, b=np.array([-1.0, 1.0, 1.0])), warm=warm)
+    _check_point(A, np.array([-1.0, 1.0, 1.0]), x)
+    assert warm.row is None and warm.pivots >= 1
+    first = warm.pivots
+    # A smaller need: the carried basis stays feasible, so no pivot.
+    b = np.array([-0.5, 1.0, 1.0])
+    _check_point(A, b, lp_feasible(LPProblem(A=A, b=b), warm=warm))
+    assert warm.pivots == first
+    assert lp_feasible(LPProblem(A=A, b=np.array([-3.0, 1.0, 1.0])),
+                       warm=warm) is None
+    assert warm.row is not None and sorted(warm.basis) == sorted(set(warm.basis))
+
+
+@pytest.mark.parametrize("basis", [
+    np.array([0, 0, 4]),     # one column twice: singular
+    np.array([0, 1, 4]),     # two nearly parallel columns
+    np.array([0, 1]),        # wrong length
+    np.array([0, 1, 9]),     # no such column
+], ids=["singular", "ill-conditioned", "wrong-length", "out-of-range"])
+def test_unusable_carried_basis_restarts_from_slacks(basis):
+    """A carried basis that cannot be factored safely gives way to the
+    all-slack basis, and the verdict is the cold one."""
+    A = np.array([[-1.0, -1.0 - 1e-12], [1.0, 1.0], [0.0, 1.0]])
+    for b, feasible in ((np.array([-1.0, 2.0, 1.0]), True),
+                        (np.array([-3.0, 2.0, 1.0]), False)):
+        assert (lp_feasible(LPProblem(A=A, b=b)) is not None) == feasible
+        warm = WarmStart(basis=basis)
+        x = lp_feasible(LPProblem(A=A, b=b), warm=warm)
+        assert (x is not None) == feasible
+        if feasible:
+            _check_point(A, b, x)
+        assert len(set(warm.basis.tolist())) == 3

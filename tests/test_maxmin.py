@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cfwpt.cli import build_drop
+from cfwpt.cli import _setup_rng, build_drop
 from cfwpt.config import ScenarioConfig, load_config
 from cfwpt.estimation import build_cache
 from cfwpt.geometry import PropagationModel
-from cfwpt.lp import lp_feasible
+from cfwpt.lp import WarmStart, lp_feasible
 from cfwpt import maxmin
 from cfwpt.maxmin import (
     ENERGY_MARGIN,
@@ -75,13 +75,16 @@ def test_lp_layout():
     table = energy_coefficient_table(se, cfg)
     lp = build_feasibility_lp(eta, cache, table, cfg)
     assert lp.A.shape == (K + L, K * L)
-    # Energy rows: dE_k/dq_il = coef[k, i, l] rho_d / tr(Rhat_il), negated
-    # and divided by the need, against a right-hand side just below -1.
+    # Energy rows: dE_k/dq_il = coef[k, i, l] rho_d / tr(Rhat_il), negated,
+    # against the negated need with its margin.  A does not depend on eta.
     for k in range(K):
         need = cfg.tau_p * cfg.rho_p + cfg.tau_u * eta[k]
-        want = table[k] * cfg.rho_d / cache.tr_rhat / need
+        want = table[k] * cfg.rho_d / cache.tr_rhat
         assert np.allclose(lp.A[k], -want.ravel(), rtol=1e-14, atol=0.0)
-    assert np.all(lp.b[:K] == -(1.0 + ENERGY_MARGIN))
+        assert lp.b[k] == pytest.approx(-(1.0 + ENERGY_MARGIN) * need,
+                                        rel=1e-15)
+    other = build_feasibility_lp(2.0 * eta, cache, table, cfg)
+    assert np.array_equal(other.A, lp.A)
     # AP rows: unit entries on AP l's shares only, one stride L apart.
     for l in range(L):
         row = lp.A[K + l]
@@ -458,6 +461,44 @@ def test_tight_pilot_margin_setup_is_solved():
     assert res.status == "solved"
     ap, energy = _budget_shortfall(res, cache, se, cfg)
     assert ap <= 1e-12 and energy <= 1e-12
+
+
+def _reference_drop_0():
+    cfg, prop = load_config(CONFIGS / "reference.cfg")
+    return cfg, 1e-2, build_drop(cfg, prop, _setup_rng(1, 0)[0])
+
+
+def _criterion_8_many_small_aps_drop_6():
+    cfg = ScenarioConfig(K=8, tau_p=4, tau_d=25, tau_u=171, L=16, N=4,
+                         rho_d=4.0 / 16)
+    rng = np.random.default_rng(np.random.SeedSequence(777, spawn_key=(6,)))
+    return cfg, 1e-4, build_drop(cfg, PropagationModel(), rng)
+
+
+@pytest.mark.parametrize("make", [_reference_drop_0,
+                                  _criterion_8_many_small_aps_drop_6],
+                         ids=["reference-seed-1-drop-0",
+                              "criterion-8-many-small-aps-drop-6"])
+def test_warm_verdicts_match_cold_solves(make, monkeypatch):
+    """Every probe of a drop gets the verdict a cold solve from the slack
+    basis gives, while the carried basis saves most of the pivots."""
+    cfg, eps, (stats, cache, se) = make()
+    posed = []
+
+    def spy(lp, **kwargs):
+        x = lp_feasible(lp, **kwargs)
+        posed.append((lp, x is not None))
+        return x
+
+    monkeypatch.setattr(maxmin, "lp_feasible", spy)
+    res = solve_maxmin(stats, cache, se, cfg, eps=eps)
+    assert res.status == "solved" and len(posed) > 20
+    cold_pivots = 0
+    for lp, warm_verdict in posed:
+        cold = WarmStart()
+        assert (lp_feasible(lp, warm=cold) is not None) == warm_verdict
+        cold_pivots += cold.pivots
+    assert res.lp_pivots < cold_pivots / 2
 
 
 def test_non_finite_certificate_fails_loudly(monkeypatch):
