@@ -3,31 +3,24 @@
 Solves "does {A x <= b, x >= 0} have a point?" and returns one when it
 does.  With a slack per row and a zero objective every basis is dual
 feasible, so there are no artificial columns and no objective row: a
-negative basic variable leaves the basis until none is left (a feasible
-point), or until its row has no negative entry; then that row of B^-1
-is a Farkas certificate y >= 0 with y A >= 0 and y b < 0.
+negative basic variable leaves until none is left (feasible), or until
+its row has no negative entry; that row of B^-1 is then a Farkas
+certificate y >= 0 with y A >= 0 and y b < 0 (infeasible).  B^-1 is
+dense and updated in place; each verdict is confirmed on a fresh
+factorization, since the updates drift on ill-conditioned bases.
 
-B^-1 is dense (a few dozen rows here) and updated in place, one
-rank-one step per pivot; every verdict is confirmed on a fresh
-factorization, since the updates drift on ill-conditioned intermediate
-bases.  Callers that ask about one A with changing b (the bisection
-probes of one drop) pass a WarmStart: each call re-factors the basis
-the last one ended in and usually needs a few pivots.  A carried basis
-that is singular or ill-conditioned gives way to the all-slack basis.
+A WarmStart carries the final basis to the next call on the same A (the
+bisection probes of one drop differ in b only), which then needs a few
+pivots; a singular or ill-conditioned carried basis gives way to the
+all-slack basis.  The leaving row is chosen by dual steepest edge and
+the entering column is the row's most negative entry; after stall_limit
+pivots without a new lowest total infeasibility, Bland's rule takes
+over, restricted to entries within BLAND_RATIO of the row's largest so
+that no rounding-sized pivot is taken.  The pivot cap bounds each call.
 
-Pricing: the basic variable with the largest infeasibility scaled by its
-B^-1 row norm leaves (dual steepest edge), and the row's most negative
-entry enters.  After stall_limit pivots without a new lowest total
-infeasibility, the rest of the call uses Bland's rule: the lowest basic
-index leaves and the lowest column index enters, among entries within
-BLAND_RATIO of the row's largest so that no rounding-sized pivot is
-taken.  The pivot cap bounds every call.
-
-The raw constraint data spans many orders of magnitude (power
-coefficients around 1e7 against harvested energies around 1e-7), so
-rows and columns of A are equilibrated before pivoting and the solution
-is mapped back to original units at the end.  The scaling depends on A
-alone, so a WarmStart computes it once.
+The raw data spans many orders of magnitude (power coefficients around
+1e7 against harvested energies around 1e-7), so the rows and columns of
+A are equilibrated, from A alone, before pivoting.
 """
 
 from __future__ import annotations
@@ -92,16 +85,16 @@ def _equilibrate(A):
 
 def _factor(M, basis, limit=MAX_INVERSE):
     """(basis, B^-1) factored from M, or the all-slack basis and identity
-    if basis is missing or singular or B^-1 has an entry above limit."""
-    m, cols = M.shape
-    if basis is not None and basis.shape == (m,) \
-            and np.all((0 <= basis) & (basis < cols)):
+    if basis is missing, unusable or singular, or B^-1 has an entry
+    above limit."""
+    if basis is not None:
         try:
             Binv = np.linalg.inv(M[:, basis])
-        except np.linalg.LinAlgError:
+        except (IndexError, np.linalg.LinAlgError):
             Binv = None
         if Binv is not None and np.abs(Binv).max() <= limit:
             return basis.copy(), Binv
+    m, cols = M.shape
     return cols - m + np.arange(m), np.eye(m)
 
 
