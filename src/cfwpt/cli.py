@@ -121,14 +121,9 @@ def run_optimize(cfg, prop, setups, seed, out_dir, jobs=1, config_label="<defaul
 
 
 def _z_scores(closed, mean, stderr):
-    closed = np.asarray(closed, dtype=complex)
-    mean = np.asarray(mean, dtype=complex)
-    stderr = np.asarray(stderr, dtype=float)
     diff = np.abs(closed - mean)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(stderr > 0.0, diff / np.where(stderr > 0, stderr, 1.0),
-                     np.where(diff == 0.0, 0.0, np.inf))
-    return z
+    return np.where(stderr > 0.0, diff / np.where(stderr > 0.0, stderr, 1.0),
+                    np.where(diff == 0.0, 0.0, np.inf))
 
 
 def run_validate(cfg, prop, mc_samples, seed, out=None):

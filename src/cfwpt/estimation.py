@@ -93,11 +93,12 @@ def _dense_covariances(stats, cfg):
 def lmmse_estimate(z, stats, cfg):
     """LMMSE channel estimate sqrt(rho_p tau_p) R Psi^-1 z per link.
 
-    z has shape (..., K, L, N); leading axes are Monte Carlo batches.
-    Dense N x N algebra for the Monte Carlo oracles only; R Psi^-1 is
-    the conjugate transpose of Psi^-1 R.
+    z has shape (..., K, L, N); leading axes are Monte Carlo batches,
+    stored last in the estimate.  Dense N x N algebra for the Monte
+    Carlo oracles only, one matmul per link; R Psi^-1 = (Psi^-1 R)^H.
     """
     R, psi = _dense_covariances(stats, cfg)
-    psi_inv_r = np.linalg.inv(psi)[stats.pilot_of] @ R
-    return np.sqrt(cfg.rho_p * cfg.tau_p) * np.einsum(
-        "klba,...klb->...kla", psi_inv_r.conj(), z)
+    w = np.sqrt(cfg.rho_p * cfg.tau_p) * (
+        np.linalg.inv(psi)[stats.pilot_of] @ R).conj().swapaxes(-1, -2)
+    zt = np.moveaxis(z.reshape((-1,) + z.shape[-3:]), 0, -1)
+    return np.moveaxis(w @ zt, -1, 0).reshape(z.shape)

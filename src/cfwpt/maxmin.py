@@ -77,9 +77,12 @@ def minimum_uplink_powers(t, a, se):
     standard interference functions).  Otherwise no eta >= 0 reaches
     t, and None is returned.
     """
+    return _least_powers(t, *sinr_terms(a, se))
+
+
+def _least_powers(t, gain, cross, noise):
     if t == 0.0:
-        return np.zeros(se.b.shape[0])
-    gain, cross, noise = sinr_terms(a, se)
+        return np.zeros_like(gain)
     B = -t * cross
     B[np.diag_indices_from(B)] += (1.0 + t) * gain
     try:
@@ -116,18 +119,19 @@ def _feasibility_rhs(eta, L, cfg):
     return np.concatenate([-(1.0 + ENERGY_MARGIN) * need, np.ones(L)])
 
 
-def _probe(t, a, se, cache, coef, cfg, lp, warm):
-    """A power allocation that can pay for SINR t under weights a, or None.
+def _probe(t, terms, cache, coef, cfg, lp, warm):
+    """A power allocation that can pay for SINR t, or None.
 
-    lp is the drop's feasibility system, whose b is replaced by the one
-    for t; warm carries the simplex basis from probe to probe.  The LP
-    point is mapped back to powers with every AP budget clipped to at
-    most rho_d, and the energy is re-evaluated in float: eta is capped
-    at what the harvest covers after the pilot, and the probe fails if
-    some UE cannot even pay for its pilot.  So the returned allocation
-    meets both budgets by construction.
+    terms are sinr_terms of the current weights, formed once per weight
+    vector.  lp is the drop's feasibility system, whose b is replaced by
+    the one for t; warm carries the simplex basis from probe to probe.
+    The LP point is mapped back to powers with every AP budget clipped
+    to at most rho_d, and the energy is re-evaluated in float: eta is
+    capped at what the harvest covers after the pilot, and the probe
+    fails if some UE cannot even pay for its pilot.  So the returned
+    allocation meets both budgets by construction.
     """
-    eta = minimum_uplink_powers(t, a, se)
+    eta = _least_powers(t, *terms)
     if eta is None:
         return None
     b = _feasibility_rhs(eta, cache.tr_rhat.shape[1], cfg)
@@ -220,7 +224,7 @@ def solve_maxmin(stats, cache, se, cfg, eps=1e-2, max_iters=200):
     coef = energy_coefficient_table(se, cfg)
     lp = build_feasibility_lp(np.zeros(K), cache, coef, cfg)
     warm = WarmStart()
-    a = np.ones((K, L), dtype=complex)
+    terms = sinr_terms(np.ones((K, L), dtype=complex), se)
     trace = []
 
     t_min = 0.0
@@ -237,12 +241,13 @@ def solve_maxmin(stats, cache, se, cfg, eps=1e-2, max_iters=200):
             break
         iters += 1
         t = 0.5 * (t_min + t_max)
-        alloc = _probe(t, a, se, cache, coef, cfg, lp, warm)
+        alloc = _probe(t, terms, cache, coef, cfg, lp, warm)
         if alloc is None:
             trace.append((t, False, None))
             t_max = t
             continue
         alloc, a, sinr_k, t_star = _certify(alloc, se)
+        terms = sinr_terms(a, se)
         if best is None or t_star > best[3]:
             best = (alloc, a, sinr_k, t_star)
         trace.append((t, True, best[3]))
@@ -256,7 +261,7 @@ def solve_maxmin(stats, cache, se, cfg, eps=1e-2, max_iters=200):
     if best is None:
         # Bracket collapsed without one certified point; a plain
         # feasibility check at t = 0 settles solvability.
-        alloc = _probe(0.0, a, se, cache, coef, cfg, lp, warm)
+        alloc = _probe(0.0, terms, cache, coef, cfg, lp, warm)
         if alloc is None:
             trace.append((0.0, False, None))
             return _empty_result(K, L, trace, (t_min, t_max), warm.pivots)

@@ -121,27 +121,24 @@ def se_statistics_oracle(stats, cfg, mc_samples, rng):
     and sigma^2 ||ghat_kl||^2, each with the standard error of
     channel.mean_and_stderr.
     """
-    K, L, _ = stats.gbar.shape
-    b_sum, b_sq = np.zeros((K, L), dtype=complex), np.zeros((K, L))
-    c_sum, c_sq = np.zeros((K, K, L, L), dtype=complex), np.zeros((K, K, L, L))
-    d_sum, d_sq = np.zeros((K, L)), np.zeros((K, L))
-    kk = np.arange(K)
+    b_sum = b_sq = c_sum = c_sq = d_sum = d_sq = 0.0
     for g, ghat in draw_estimates(stats, cfg, mc_samples, rng):
-        # Sums over the draws of x_l conj(x_l') and |x_l|^2 |x_l'|^2 as
-        # batched (L, batch) @ (batch, L) products, draws on the last axis.
-        xt = np.einsum("bkln,bmln->kmlb", ghat.conj(), g)
-        y_b = xt[kk, kk]
-        y_d = cfg.sigma2 * np.einsum("bkln,bkln->bkl", ghat, ghat.conj()).real
-        x_sq = np.abs(xt) ** 2
+        g, ghat = np.moveaxis(g, 0, -1), np.moveaxis(ghat, 0, -1).conj()
+        # With ghat conjugated, xt[k, m, l] = ghat_kl^H g_ml, draws last; the
+        # sums of x_l x_l'^* and |x_l|^2 |x_l'|^2 are (L, b) @ (b, L) products.
+        xt = ghat[:, None, :, 0] * g[None, :, :, 0]
+        for n in range(1, g.shape[2]):
+            xt += ghat[:, None, :, n] * g[None, :, :, n]
+        y_b = np.diagonal(xt).transpose(2, 0, 1)            # x_kk
+        y_d = cfg.sigma2 * (ghat.real ** 2 + ghat.imag ** 2).sum(axis=2)
         b_sum += y_b.sum(axis=-1)
         b_sq += (np.abs(y_b) ** 2).sum(axis=-1)
         c_sum += xt @ xt.conj().swapaxes(-1, -2)
+        x_sq = np.abs(xt) ** 2
         c_sq += x_sq @ x_sq.swapaxes(-1, -2)
-        d_sum += y_d.sum(axis=0)
-        d_sq += (y_d ** 2).sum(axis=0)
+        d_sum += y_d.sum(axis=-1)
+        d_sq += (y_d ** 2).sum(axis=-1)
 
-    b_est, b_se = mean_and_stderr(b_sum, b_sq, mc_samples)
-    c_est, c_se = mean_and_stderr(c_sum, c_sq, mc_samples)
-    d_est, d_se = mean_and_stderr(d_sum, d_sq, mc_samples)
-    return SEOracleEstimates(b=b_est, b_se=b_se, C=c_est, C_se=c_se,
-                             D=d_est, D_se=d_se)
+    return SEOracleEstimates(*mean_and_stderr(b_sum, b_sq, mc_samples),
+                             *mean_and_stderr(c_sum, c_sq, mc_samples),
+                             *mean_and_stderr(d_sum, d_sq, mc_samples))

@@ -62,12 +62,12 @@ def harvested_energy_oracle(p, stats, cfg, mc_samples, rng):
     sqrt_p = np.sqrt(np.asarray(p, dtype=float))
     total = total_sq = 0.0
     for g, ghat in draw_estimates(stats, cfg, mc_samples, rng):
-        n, K, L, _ = g.shape
-        s = np.exp(2j * np.pi * rng.uniform(size=(n, K, L)))
-        # x[b, l] = sum_i sqrt(p_il) s_il conj(ghat_il): what AP l radiates.
-        x = np.einsum("bil,biln->bln", sqrt_p * s, ghat.conj())
-        r = (g.reshape(n, K, -1) @ x.reshape(n, -1, 1))[..., 0]
+        s = np.exp(2j * np.pi * rng.uniform(size=g.shape[:3]))
+        g, ghat = np.moveaxis(g, 0, -1), np.moveaxis(ghat, 0, -1)
+        # x[l] = sum_i sqrt(p_il) s_il conj(ghat_il): what AP l radiates.
+        w = sqrt_p[..., None] * np.moveaxis(s, 0, -1)
+        r = (g * (w[:, :, None] * ghat.conj()).sum(axis=0)).sum(axis=(1, 2))
         y = cfg.mu * cfg.tau_d * np.abs(r) ** 2
-        total += y.sum(axis=0)
-        total_sq += (y ** 2).sum(axis=0)
+        total += y.sum(axis=-1)
+        total_sq += (y ** 2).sum(axis=-1)
     return mean_and_stderr(total, total_sq, mc_samples)

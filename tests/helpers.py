@@ -1,4 +1,5 @@
-"""Shared test fixtures: synthetic statistics and an exact LP oracle."""
+"""Shared test fixtures: synthetic statistics, dense and batch-first
+Monte Carlo references, and an exact LP oracle."""
 
 import functools
 import itertools
@@ -6,6 +7,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from cfwpt.channel import (
+    MC_BATCH,
+    mean_and_stderr,
+    sample_pilot_observation,
+    sample_realization,
+)
 from cfwpt.config import ScenarioConfig
 from cfwpt.geometry import ChannelStatistics, assign_pilots
 
@@ -95,6 +102,70 @@ def dense_lsfd(stats, cfg):
 def ap_transmit_powers(p, cache):
     """Average transmit power of every AP: sum_k p_kl tr(Rhat_kl)."""
     return np.einsum("kl,kl->l", np.asarray(p, dtype=float), cache.tr_rhat)
+
+
+# The Monte Carlo contractions in batch-first einsum form, (batch, K, L, N)
+# with the draws on the leading axis.  The package contracts the same
+# draws batch-last; these are the references it is checked against.
+
+def einsum_lmmse_estimate(z, stats, cfg):
+    """sqrt(rho_p tau_p) R Psi^-1 z per link, one einsum over (..., K, L, N)."""
+    return np.sqrt(cfg.rho_p * cfg.tau_p) * np.einsum(
+        "klba,...klb->...kla", dense_psi_inv_r(stats, cfg).conj(), z)
+
+
+def einsum_x(ghat, g):
+    """x[b, k, m, l] = ghat_kl^H g_ml for every draw b."""
+    return np.einsum("bkln,bmln->bkml", ghat.conj(), g)
+
+
+def einsum_batches(stats, cfg, mc_samples, rng):
+    """(g, ghat) batches from the package's draws and einsum_lmmse_estimate."""
+    done = 0
+    while done < mc_samples:
+        n = min(MC_BATCH, mc_samples - done)
+        g = sample_realization(stats, rng, size=n)
+        z = sample_pilot_observation(g, stats, cfg, rng)
+        yield g, einsum_lmmse_estimate(z, stats, cfg)
+        done += n
+
+
+def einsum_se_oracle(stats, cfg, mc_samples, rng):
+    """se_statistics_oracle's (b, b_se, C, C_se, D, D_se) from einsum_x."""
+    K, L, _ = stats.gbar.shape
+    kk = np.arange(K)
+    b_sum, b_sq = 0.0, 0.0
+    c_sum, c_sq = 0.0, 0.0
+    d_sum, d_sq = 0.0, 0.0
+    for g, ghat in einsum_batches(stats, cfg, mc_samples, rng):
+        xt = einsum_x(ghat, g).transpose(1, 2, 3, 0)     # (K, K, L, batch)
+        y_b = xt[kk, kk]
+        y_d = cfg.sigma2 * np.einsum("bkln,bkln->bkl", ghat, ghat.conj()).real
+        x_sq = np.abs(xt) ** 2
+        b_sum += y_b.sum(axis=-1)
+        b_sq += (np.abs(y_b) ** 2).sum(axis=-1)
+        c_sum += xt @ xt.conj().swapaxes(-1, -2)
+        c_sq += x_sq @ x_sq.swapaxes(-1, -2)
+        d_sum += y_d.sum(axis=0)
+        d_sq += (y_d ** 2).sum(axis=0)
+    return (mean_and_stderr(b_sum, b_sq, mc_samples)
+            + mean_and_stderr(c_sum, c_sq, mc_samples)
+            + mean_and_stderr(d_sum, d_sq, mc_samples))
+
+
+def einsum_energy_oracle(p, stats, cfg, mc_samples, rng):
+    """harvested_energy_oracle's (mean, stderr), contracted batch-first."""
+    sqrt_p = np.sqrt(p)
+    total = total_sq = 0.0
+    for g, ghat in einsum_batches(stats, cfg, mc_samples, rng):
+        n, K, L, _ = g.shape
+        s = np.exp(2j * np.pi * rng.uniform(size=(n, K, L)))
+        x = np.einsum("bil,biln->bln", sqrt_p * s, ghat.conj())
+        r = (g.reshape(n, K, -1) @ x.reshape(n, -1, 1))[..., 0]
+        y = cfg.mu * cfg.tau_d * np.abs(r) ** 2
+        total += y.sum(axis=0)
+        total_sq += (y ** 2).sum(axis=0)
+    return mean_and_stderr(total, total_sq, mc_samples)
 
 
 def _exact_solve(rows, rhs):

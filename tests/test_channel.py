@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from cfwpt.channel import (
     MC_BATCH,
@@ -9,7 +10,7 @@ from cfwpt.channel import (
 )
 from cfwpt.estimation import build_cache, lmmse_estimate
 
-from helpers import rebuilt_psi, synthetic_stats
+from helpers import einsum_lmmse_estimate, rebuilt_psi, synthetic_stats
 
 
 def test_realization_shapes():
@@ -94,6 +95,62 @@ def test_draw_estimates_batches_and_order():
     z = sample_pilot_observation(g, stats, cfg, rng)
     assert np.array_equal(batches[0][0], g)
     assert np.array_equal(batches[0][1], lmmse_estimate(z, stats, cfg))
+
+
+def _written_out_draws(stats, cfg, n, rng):
+    """One batch of the draw stream, written out batch-first.
+
+    The per-link phases, the scattering's real then imaginary normals,
+    then the shared per-pilot noise, each drawn for a (n, ...) shape;
+    returns the realizations g and the per-UE pilot observations z.
+    """
+    K, L, N = stats.gbar.shape
+    theta = rng.uniform(0.0, 2.0 * np.pi, (n, K, L))
+    shape = (n, K, L, N)
+    scatter = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
+        * np.sqrt(0.5)
+    g = np.exp(1j * theta)[..., None] * stats.gbar \
+        + scatter * np.sqrt(stats.beta)[..., None]
+    shape = (n, cfg.tau_p, L, N)
+    z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
+        * np.sqrt(0.5) * np.sqrt(cfg.sigma2)
+    for t in range(cfg.tau_p):
+        z[:, t] += np.sqrt(cfg.rho_p * cfg.tau_p) \
+            * g[:, stats.pilot_of == t].sum(axis=1)
+    return g, z[:, stats.pilot_of]
+
+
+@pytest.mark.parametrize("size", [None, 1, 7])
+def test_draw_stream_matches_written_out_formula(size):
+    """sample_realization and sample_pilot_observation give exactly the
+    written-out draws, and leave the generator at the same point."""
+    cfg, stats = synthetic_stats(L=2, K=5, N=3, tau_p=2, seed=38)
+    rng, ref = np.random.default_rng(13), np.random.default_rng(13)
+    g = sample_realization(stats, rng, size=size)
+    z = sample_pilot_observation(g, stats, cfg, rng)
+    n = 1 if size is None else size
+    want_g, want_z = _written_out_draws(stats, cfg, n, ref)
+    if size is None:
+        want_g, want_z = want_g[0], want_z[0]
+    assert np.array_equal(g, want_g)
+    assert np.array_equal(z, want_z)
+    assert rng.standard_normal() == ref.standard_normal()
+
+
+def test_draw_estimates_stream_matches_written_out_formula():
+    """Every batch of draw_estimates, the short last one too, holds the
+    written-out draws, and its estimates match the batch-first einsum."""
+    cfg, stats = synthetic_stats(L=2, K=5, N=3, tau_p=2, seed=39)
+    ref = np.random.default_rng(14)
+    sizes = []
+    for g, ghat in draw_estimates(stats, cfg, MC_BATCH + 3,
+                                  np.random.default_rng(14)):
+        want_g, want_z = _written_out_draws(stats, cfg, g.shape[0], ref)
+        assert np.array_equal(g, want_g)
+        want_ghat = einsum_lmmse_estimate(want_z, stats, cfg)
+        np.testing.assert_allclose(ghat, want_ghat, rtol=1e-12, atol=0)
+        sizes.append(g.shape[0])
+    assert sizes == [MC_BATCH, 3]
 
 
 def test_mean_and_stderr_total_variance():

@@ -20,6 +20,7 @@ from helpers import (
     dense_covariance,
     dense_lsfd,
     direct_rhat,
+    einsum_lmmse_estimate,
     rebuilt_psi,
     synthetic_stats,
 )
@@ -85,6 +86,18 @@ def test_estimate_batch_axis():
     batched = lmmse_estimate(z, stats, cfg)
     assert batched.shape == (5, 3, 2, 2)
     assert np.allclose(batched[2], lmmse_estimate(z[2], stats, cfg))
+
+
+def test_estimate_matches_batch_first_einsum():
+    """Batch-first z, C-ordered and with two batch axes, against the einsum."""
+    cfg, stats = synthetic_stats(L=2, K=5, N=3, tau_p=2, seed=24)
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal((4, 6, 5, 2, 3)) \
+        + 1j * rng.standard_normal((4, 6, 5, 2, 3))
+    ghat = lmmse_estimate(z, stats, cfg)
+    assert ghat.shape == z.shape
+    np.testing.assert_allclose(ghat, einsum_lmmse_estimate(z, stats, cfg),
+                               rtol=1e-12, atol=0)
 
 
 def test_estimate_matches_direct_formula():

@@ -9,7 +9,12 @@ from cfwpt.wit import (SEStatistics, lsfd_statistics, se_statistics_oracle, sinr
                        spectral_efficiency)
 
 from test_estimation import _scalar_setup
-from helpers import dense_covariance, dense_psi_inv_r, synthetic_stats
+from helpers import (
+    dense_covariance,
+    dense_psi_inv_r,
+    einsum_se_oracle,
+    synthetic_stats,
+)
 
 
 def _instance(seed=51, **kw):
@@ -172,3 +177,16 @@ def test_oracle_c_moments_match_explicit_products():
     mean, err = mean_and_stderr(c_sum, c_sq, samples)
     np.testing.assert_allclose(est.C, mean, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(est.C_se, err, rtol=1e-12, atol=0.0)
+
+
+def test_oracle_matches_batch_first_einsum_reference():
+    """The batch-last contractions equal the batch-first einsum sums on
+    the same draws, with pilot sharing, N = 3 and a short last batch."""
+    cfg, stats, cache, se = _instance(seed=63, L=2, K=5, N=3)
+    samples = MC_BATCH + 700
+    est = se_statistics_oracle(stats, cfg, samples, np.random.default_rng(9))
+    want = einsum_se_oracle(stats, cfg, samples, np.random.default_rng(9))
+    got = (est.b, est.b_se, est.C, est.C_se, est.D, est.D_se)
+    for name, mine, ref in zip(("b", "b_se", "C", "C_se", "D", "D_se"),
+                               got, want):
+        np.testing.assert_allclose(mine, ref, rtol=1e-12, atol=0, err_msg=name)

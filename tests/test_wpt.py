@@ -15,6 +15,7 @@ from helpers import (
     ap_transmit_powers,
     dense_covariance,
     direct_rhat,
+    einsum_energy_oracle,
     synthetic_stats,
 )
 
@@ -161,3 +162,17 @@ def test_oracle_matches_per_ue_reference():
                                     np.random.default_rng(7))
     np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(got[1], want[1], rtol=1e-12, atol=0.0)
+
+
+def test_oracle_matches_batch_first_einsum_reference():
+    """The batch-last contractions equal the batch-first einsum sums on
+    the same draws, with pilot sharing, N = 3 and a short last batch."""
+    cfg, stats = synthetic_stats(L=2, K=5, N=3, tau_p=2, seed=49)
+    p = np.random.default_rng(8).uniform(0.2, 1.0, size=(5, 2))
+    samples = MC_BATCH + 700
+    got = harvested_energy_oracle(p, stats, cfg, samples,
+                                  np.random.default_rng(10))
+    want = einsum_energy_oracle(p, stats, cfg, samples,
+                                np.random.default_rng(10))
+    for mine, ref in zip(got, want):
+        np.testing.assert_allclose(mine, ref, rtol=1e-12, atol=0)
