@@ -8,10 +8,11 @@ Subcommands:
   cdf        turn a sweep manifest into empirical CDF tables plus a
              90%/95%-likely summary
 
-Exit codes: 0 success, 1 validation failure, 2 usage/config error.
-All outputs are a pure function of (config, seed): reruns are
-byte-identical, and setup workers are gathered in index order so
---jobs never changes file contents.
+Exit codes: 0 success, 1 validation failure or a failed optimize setup
+(recorded with status "error"; the others are still written), 2
+usage/config error.  All outputs are a pure function of (config, seed):
+reruns are byte-identical, and setup workers are gathered in index
+order so --jobs never changes file contents.
 """
 
 from __future__ import annotations
@@ -60,9 +61,13 @@ def build_drop(cfg, prop, rng):
 def _run_setup(task):
     cfg, prop, seed, index = task
     rng, token = _setup_rng(seed, index)
-    stats, cache, se = build_drop(cfg, prop, rng)
-    mmf = solve_maxmin(stats, cache, se, cfg)
-    fpc = fpc_baseline(stats, cache, se, cfg)
+    try:
+        stats, cache, se = build_drop(cfg, prop, rng)
+        mmf = solve_maxmin(stats, cache, se, cfg)
+        fpc = fpc_baseline(stats, cache, se, cfg)
+    except Exception as exc:   # one failed setup must not end the sweep
+        return {"setup_id": index, "setup_seed": token, "status": "error",
+                "error": f"{type(exc).__name__}: {exc}"}
     return {
         "setup_id": index,
         "setup_seed": token,
@@ -81,7 +86,8 @@ def _run_setup(task):
 
 
 def run_optimize(cfg, prop, setups, seed, out_dir, jobs=1, config_label="<defaults>"):
-    """Sweep random setups and write the SE tables plus a manifest."""
+    """Sweep random setups and write the SE tables plus a manifest; a
+    setup that raises gets an error record and a line on stderr."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tasks = [(cfg, prop, seed, i) for i in range(setups)]
@@ -90,11 +96,16 @@ def run_optimize(cfg, prop, setups, seed, out_dir, jobs=1, config_label="<defaul
             records = list(pool.map(_run_setup, tasks))
     else:
         records = [_run_setup(t) for t in tasks]
+    for rec in records:
+        if rec["status"] == "error":
+            print(f"error: setup {rec['setup_id']}: {rec['error']}",
+                  file=sys.stderr)
+    solved = [rec for rec in records if rec["status"] != "error"]
 
     with open(out / "se_per_ue.csv", "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["setup_id", "ue_id", "scheme", "se_bits_per_hz"])
-        for rec in records:
+        for rec in solved:
             for scheme, key in (("MMF", "se_mmf"), ("FPC", "se_fpc")):
                 for ue, val in enumerate(rec[key]):
                     w.writerow([rec["setup_id"], ue, scheme, _fmt(val)])
@@ -102,7 +113,7 @@ def run_optimize(cfg, prop, setups, seed, out_dir, jobs=1, config_label="<defaul
     with open(out / "min_se_per_setup.csv", "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["setup_id", "scheme", "min_se"])
-        for rec in records:
+        for rec in solved:
             w.writerow([rec["setup_id"], "MMF", _fmt(rec["min_se_mmf"])])
             w.writerow([rec["setup_id"], "FPC", _fmt(rec["min_se_fpc"])])
 
@@ -168,6 +179,8 @@ def run_cdf(out_dir, out=None):
         with open(manifest_path) as f:
             records = json.load(f).get("records", [])
         for i, rec in enumerate(records):
+            if rec.get("status") == "error":
+                continue
             mmf = [float(v) for v in rec["se_mmf"]]
             fpc = [float(v) for v in rec["se_fpc"]]
             low = [float(rec["min_se_mmf"]), float(rec["min_se_fpc"])]
@@ -183,8 +196,9 @@ def run_cdf(out_dir, out=None):
         # Not JSON, or JSON without the optimize manifest's shape.
         print(f"error: unreadable manifest: {exc!r}", file=sys.stderr)
         return 2
-    if not records:
-        print("error: manifest contains no setup records", file=sys.stderr)
+    if not min_se["MMF"]:
+        print("error: manifest contains no setup records with SE values",
+              file=sys.stderr)
         return 2
 
     def write_cdf(name, table):
@@ -200,19 +214,14 @@ def run_cdf(out_dir, out=None):
     write_cdf("cdf_se_per_ue.csv", per_ue)
     write_cdf("cdf_min_se.csv", min_se)
 
-    def likely(vals, level):
-        vals = sorted(vals)
-        idx = max(int(np.ceil(level * len(vals))), 1) - 1
-        return vals[idx]
-
     lines = []
     for label, table in (("per-UE SE", per_ue), ("min SE per setup", min_se)):
         for scheme in ("MMF", "FPC"):
-            vals = table[scheme]
+            p90, p95 = np.quantile(table[scheme], [0.1, 0.05],
+                                   method="inverted_cdf")
             lines.append(
-                f"{label}, {scheme}: 90%-likely = {_fmt(likely(vals, 0.1))}"
-                f" bits/s/Hz, 95%-likely = {_fmt(likely(vals, 0.05))}"
-                " bits/s/Hz")
+                f"{label}, {scheme}: 90%-likely = {_fmt(p90)}"
+                f" bits/s/Hz, 95%-likely = {_fmt(p95)} bits/s/Hz")
     text = "\n".join(lines) + "\n"
     with open(out_path / "summary.txt", "w") as f:
         f.write(text)
@@ -278,9 +287,10 @@ def main(argv=None):
         seed = args.seed if args.seed is not None else cfg.seed
 
         if args.command == "optimize":
-            run_optimize(cfg, prop, args.setups, seed, args.out,
-                         jobs=args.jobs, config_label=label)
-            return 0
+            manifest = run_optimize(cfg, prop, args.setups, seed, args.out,
+                                    jobs=args.jobs, config_label=label)
+            return int(any(rec["status"] == "error"
+                           for rec in manifest["records"]))
 
         size = cfg.L * cfg.N * cfg.K
         if size > MAX_VALIDATE_SIZE:

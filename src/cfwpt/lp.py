@@ -12,11 +12,12 @@ factorization, since the updates drift on ill-conditioned bases.
 A WarmStart carries the final basis to the next call on the same A (the
 bisection probes of one drop differ in b only), which then needs a few
 pivots; a singular or ill-conditioned carried basis gives way to the
-all-slack basis.  The leaving row is chosen by dual steepest edge and
-the entering column is the row's most negative entry; after stall_limit
-pivots without a new lowest total infeasibility, Bland's rule takes
-over, restricted to entries within BLAND_RATIO of the row's largest so
-that no rounding-sized pivot is taken.  The pivot cap bounds each call.
+all-slack basis.  Every pivot is priced by one rule: the leaving row by
+dual steepest edge, the entering column as that row's most negative
+entry.  A basic variable counts as feasible down to a tolerance scaled
+by its row of B^-1 and the largest |b|, so a degenerate variable that
+rounding in B^-1 puts a little below zero does not count as infeasible.
+The pivot cap bounds each call.
 
 The raw data spans many orders of magnitude (power coefficients around
 1e7 against harvested energies around 1e-7), so the rows and columns of
@@ -60,15 +61,14 @@ class WarmStart:
     _scaled: tuple | None = field(default=None, repr=False)  # (A, ...)
 
 
-# Tolerances in equilibrated units, relative to the sum of magnitudes a
-# value is formed from: a basic variable counts as feasible at or above
-# -TOL_FEASIBLE times it, and a pivot entry must lie below -TOL_PIV
-# times it for its row.  A carried basis whose inverse has an entry
-# above MAX_INVERSE counts as ill-conditioned.
+# Tolerances in equilibrated units: a basic variable counts as feasible
+# at or above -TOL_FEASIBLE times ||its row of B^-1||_1 times max|b|,
+# and a pivot entry must lie below -TOL_PIV times ||its row of B^-1||_1.
+# A carried basis whose inverse has an entry above MAX_INVERSE counts as
+# ill-conditioned.
 TOL_FEASIBLE = 1e-9
 TOL_PIV = 1e-11
 MAX_INVERSE = 1e10
-BLAND_RATIO = 1e-2
 
 
 def _equilibrate(A):
@@ -98,14 +98,11 @@ def _factor(M, basis, limit=MAX_INVERSE):
     return cols - m + np.arange(m), np.eye(m)
 
 
-def lp_feasible(lp, max_iter=None, stall_limit=50, warm=None):
+def lp_feasible(lp, max_iter=None, warm=None):
     """Dual simplex: a feasible x (ndarray) or None.
 
-    After stall_limit pivots in a row without a new lowest total
-    infeasibility, Bland's rule prices the rest of the call (0 means
-    Bland throughout).  warm, a WarmStart, supplies the starting basis
-    and receives the final one.  Raises SimplexIterationError if the
-    pivot cap is hit.
+    warm, a WarmStart, supplies the starting basis and receives the
+    final one.  Raises SimplexIterationError if the pivot cap is hit.
     """
     b = np.asarray(lp.b, dtype=float)
     m, n = np.shape(lp.A)
@@ -125,25 +122,16 @@ def lp_feasible(lp, max_iter=None, stall_limit=50, warm=None):
 
     if max_iter is None:
         max_iter = 500 + 50 * (2 * m + n)
-    best = np.inf               # lowest total infeasibility so far
-    stalled = 0                 # pivots since it was reached
-    bland = stall_limit <= 0
+    b_max = np.abs(b).max()
     pivots = 0
     while True:
-        tol = TOL_FEASIBLE * (np.abs(Binv) @ np.abs(b))
-        rows = np.flatnonzero(beta < -tol)
+        row_norm = np.abs(Binv).sum(axis=1)
+        rows = np.flatnonzero(beta < -TOL_FEASIBLE * b_max * row_norm)
         if rows.size:
-            total = -beta[rows].sum()
-            stalled = 0 if total < best else stalled + 1
-            best = min(best, total)
-            bland = bland or stalled >= stall_limit
-            if bland:
-                leave = rows[np.argmin(basis[rows])]
-            else:
-                weight = np.einsum("ij,ij->i", Binv[rows], Binv[rows])
-                leave = rows[np.argmax(beta[rows] ** 2 / weight)]
+            weight = np.einsum("ij,ij->i", Binv[rows], Binv[rows])
+            leave = rows[np.argmax(beta[rows] ** 2 / weight)]
             alpha = Binv[leave] @ M
-            cols = np.flatnonzero(alpha < -TOL_PIV * np.abs(Binv[leave]).sum())
+            cols = np.flatnonzero(alpha < -TOL_PIV * row_norm[leave])
         if rows.size == 0 or cols.size == 0:
             if fresh:
                 break
@@ -152,10 +140,7 @@ def lp_feasible(lp, max_iter=None, stall_limit=50, warm=None):
             continue
         if pivots >= max_iter:
             raise SimplexIterationError(f"no convergence in {max_iter} pivots")
-        if bland:
-            enter = cols[alpha[cols] <= BLAND_RATIO * alpha[cols].min()][0]
-        else:
-            enter = cols[np.argmin(alpha[cols])]
+        enter = cols[np.argmin(alpha[cols])]
 
         col = Binv @ M[:, enter]
         Binv[leave] /= col[leave]

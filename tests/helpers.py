@@ -1,7 +1,6 @@
 """Shared test fixtures: synthetic statistics, dense and batch-first
 Monte Carlo references, and an exact LP oracle."""
 
-import functools
 import itertools
 from fractions import Fraction
 
@@ -169,14 +168,15 @@ def einsum_energy_oracle(p, stats, cfg, mc_samples, rng):
 
 
 def _exact_solve(rows, rhs):
-    """Solve a square integer system exactly; None if singular.
+    """Solve a square integer system exactly: (z, d) with x = z / d,
+    z a list of ints and d > 0 an int; None if singular.
 
-    Fraction-free forward elimination on Python ints keeps this fast
-    enough for exhaustive vertex enumeration; back-substitution
-    switches to Fractions.
+    Fraction-free (Bareiss) elimination keeps every intermediate an
+    integer.  d is |det|, so by Cramer's rule every d * x_i is an
+    integer and the back-substitution divides exactly.
     """
     n = len(rows)
-    m = [list(r) + [v] for r, v in zip(rows, rhs)]
+    m = [[int(v) for v in r] + [int(v)] for r, v in zip(rows, rhs)]
     prev = 1
     for col in range(n):
         piv = next((r for r in range(col, n) if m[r][col] != 0), None)
@@ -188,47 +188,79 @@ def _exact_solve(rows, rhs):
                 m[r][c] = (m[r][c] * m[col][col] - m[r][col] * m[col][c]) // prev
             m[r][col] = 0
         prev = m[col][col]
-    x = [Fraction(0)] * n
+    z = [0] * n
     for i in range(n - 1, -1, -1):
-        s = Fraction(m[i][n]) - sum(Fraction(m[i][j]) * x[j]
-                                    for j in range(i + 1, n))
-        x[i] = s / m[i][i]
-    return x
+        s = prev * m[i][n] - sum(m[i][j] * z[j] for j in range(i + 1, n))
+        z[i] = s // m[i][i]
+    if prev < 0:
+        return [-v for v in z], -prev
+    return z, prev
+
 
 def oracle_feasible(A, b):
     """Exact feasibility verdict for {Ax <= b, x >= 0}.
 
-    Stacks the nonnegativity rows and enumerates every potential
-    vertex (n-subset of rows) in rational arithmetic.  The region
-    lives inside the nonnegative orthant, so it is pointed and a
-    nonempty region always contains a vertex.  Verdicts are cached, so
-    tests that check several pricing rules on the same integer draws
-    enumerate each draw once.
+    Primal phase I in rational arithmetic: a slack per row, one
+    artificial per row with b_i < 0 (that row negated), and the sum of
+    the artificials minimized by the tableau simplex under Bland's rule,
+    which terminates in exact arithmetic.  Feasible iff the minimum is 0.
     """
-    A = np.asarray(A)
-    return _oracle_verdict(tuple(tuple(int(v) for v in row) for row in A),
-                           tuple(int(v) for v in b), A.shape[1])
+    A = np.asarray(A, dtype=float)
+    m, n = A.shape
+    neg = [i for i in range(m) if b[i] < 0]
+    width = n + m + len(neg)
+    tab, basis = [], list(range(n, n + m))
+    for i in range(m):
+        sign = -1 if b[i] < 0 else 1
+        row = ([Fraction(sign * float(v)) for v in A[i]]
+               + [Fraction(0)] * (width - n) + [Fraction(sign * float(b[i]))])
+        row[n + i] = Fraction(sign)
+        tab.append(row)
+    for k, i in enumerate(neg):
+        tab[i][n + m + k] = Fraction(1)
+        basis[i] = n + m + k
+    # Reduced costs of the artificials' sum, and minus its value last.
+    cost = [Fraction(int(j >= n + m)) for j in range(width)] + [Fraction(0)]
+    for i in neg:
+        cost = [c - v for c, v in zip(cost, tab[i])]
+    while True:
+        enter = next((j for j in range(width) if cost[j] < 0), None)
+        if enter is None:
+            return cost[-1] == 0
+        rows = [i for i in range(m) if tab[i][enter] > 0]
+        leave = min(rows, key=lambda i: (tab[i][-1] / tab[i][enter], basis[i]))
+        piv = tab[leave][enter]
+        tab[leave] = [v / piv for v in tab[leave]]
+        for row in tab + [cost]:
+            if row is not tab[leave] and row[enter] != 0:
+                f = row[enter]
+                row[:] = [v - f * w for v, w in zip(row, tab[leave])]
+        basis[leave] = enter
 
 
-@functools.cache
-def _oracle_verdict(A, b, n):
-    m = len(A)
-    rows = [list(row) for row in A]
-    rhs = list(b)
-    for i in range(n):
-        rows.append([-1 if j == i else 0 for j in range(n)])
-        rhs.append(0)
-    if all(v >= 0 for v in rhs[:m]):
-        return True
-    for subset in itertools.combinations(range(len(rows)), n):
-        x = _exact_solve([rows[i] for i in subset], [rhs[i] for i in subset])
-        if x is None:
-            continue
-        if all(v >= 0 for v in x) and all(
-                sum(rows[i][j] * x[j] for j in range(n)) <= rhs[i]
-                for i in range(m)):
-            return True
-    return False
+def lp_stream(seed):
+    """Endless (A, b) float draws of small integer LPs, trial t of kind
+    t % 3: dense entries in -3..3, sparse +-1 entries, or the max-min
+    feasibility LP's shape (need rows -G x <= -need over K*L budget
+    shares, one unit budget row per AP).  The zeros in b make many of
+    them degenerate."""
+    rng = np.random.default_rng(seed)
+    for t in itertools.count():
+        if t % 3 == 0:
+            n, m = rng.integers(1, 30), rng.integers(1, 40)
+            A = rng.integers(-3, 4, size=(m, n))
+            b = rng.integers(-3, 4, size=m)
+        elif t % 3 == 1:
+            n, m = rng.integers(1, 40), rng.integers(1, 40)
+            A = rng.choice([-1., 0., 0., 0., 1.], size=(m, n))
+            b = rng.choice([-1., 0., 0., 1.], size=m)
+        else:
+            K, L = rng.integers(1, 12), rng.integers(1, 12)
+            G = rng.integers(0, 4, size=(K, K * L))
+            need = rng.integers(0, 4, size=K)
+            A = np.vstack([-G, np.tile(np.eye(L), K)])
+            b = np.concatenate([-need, np.ones(L)])
+        yield A.astype(float), b.astype(float)
 
 
 def random_int_lp(rng, max_vars=8, max_rows=12):

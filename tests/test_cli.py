@@ -11,6 +11,7 @@ import pytest
 
 import cfwpt
 
+from cfwpt import cli
 from cfwpt.cli import (
     MAX_VALIDATE_SIZE,
     _small_default_config,
@@ -21,6 +22,7 @@ from cfwpt.cli import (
 )
 from cfwpt.config import ScenarioConfig, load_config
 from cfwpt.geometry import PropagationModel
+from cfwpt.lp import SimplexIterationError
 from cfwpt.wpt import harvested_energy
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -329,3 +331,42 @@ def test_optimize_runs_without_scipy(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_failed_setup_is_isolated(tmp_path, capsys, monkeypatch):
+    """A setup whose solve raises becomes an error record: the other
+    setups' rows and the manifest are still written, optimize prints one
+    stderr line and exits 1, and cdf skips the record."""
+    argv = ["optimize", "-c", str(CONFIGS / "small_demo.cfg"),
+            "--setups", "3"]
+    assert main(argv + ["-o", str(tmp_path / "clean")]) == 0
+    solve, calls = cli.solve_maxmin, []
+
+    def fail_on_setup_1(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise SimplexIterationError("no convergence in 7 pivots")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_maxmin", fail_on_setup_1)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(argv + ["-o", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: setup 1: SimplexIterationError: no convergence in 7 pivots"]
+
+    clean = json.loads((tmp_path / "clean" / "manifest.json").read_text())
+    records = json.loads((out / "manifest.json").read_text())["records"]
+    assert records[0] == clean["records"][0]
+    assert records[2] == clean["records"][2]
+    assert records[1] == {
+        "setup_id": 1, "setup_seed": clean["records"][1]["setup_seed"],
+        "status": "error",
+        "error": "SimplexIterationError: no convergence in 7 pivots"}
+    for name in ("se_per_ue.csv", "min_se_per_setup.csv"):
+        rows = _read_rows(tmp_path / "clean" / name)
+        assert _read_rows(out / name) == [r for r in rows
+                                          if r["setup_id"] != "1"]
+
+    assert main(["cdf", "-o", str(out)]) == 0
+    assert len(_read_rows(out / "cdf_min_se.csv")) == 2 * 2

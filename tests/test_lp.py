@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from cfwpt.lp import LPProblem, SimplexIterationError, WarmStart, lp_feasible
 
-from helpers import _exact_solve, oracle_feasible, random_int_lp
+from helpers import _exact_solve, lp_stream, oracle_feasible, random_int_lp
 
 
 def _check_point(A, b, x, tol=1e-7):
@@ -11,6 +13,33 @@ def _check_point(A, b, x, tol=1e-7):
     assert np.all(x >= -tol)
     scale = np.maximum(np.abs(A) @ np.maximum(x, 0.0) + np.abs(b), 1.0)
     assert np.all(A @ x - b <= tol * scale)
+
+
+def _check_farkas(A, b, warm):
+    """The row of B^-1 that warm names for its final basis, rebuilt in
+    exact arithmetic from the integer data, is a Farkas certificate:
+    y >= 0, y A >= 0 and y b < 0.
+
+    y solves B^T y = e_row.  A basic slack of row i fixes y_i to its
+    entry of e_row, so only the structural basic columns leave a system
+    to solve, in the other entries of y.
+    """
+    m, n = A.shape
+    A = A.astype(int)
+    e = (np.arange(m) == warm.row).astype(int)
+    slack = warm.basis >= n
+    fixed, cols = warm.basis[slack] - n, warm.basis[~slack]
+    free = np.setdiff1d(np.arange(m), fixed)
+    solved = _exact_solve(A[np.ix_(free, cols)].T.tolist(),
+                          (e[~slack] - e[slack] @ A[fixed][:, cols]).tolist())
+    assert solved is not None, "final basis is singular"
+    z, d = solved
+    y = np.zeros(m, dtype=object)      # d * y, with d > 0
+    y[fixed] = d * e[slack].astype(object)
+    y[free] = z
+    assert np.all(y >= 0)
+    assert np.all(y @ A >= 0)
+    assert y @ b.astype(int) < 0
 
 
 def test_single_variable_feasible():
@@ -85,30 +114,6 @@ def test_agreement_with_exact_oracle():
         assert got == oracle_feasible(A, b)
 
 
-def test_pure_bland_agrees_with_exact_oracle():
-    """stall_limit=0 prices every pivot by Bland's rule; on criterion 7's
-    draws its verdicts match the exact rational oracle too."""
-    rng = np.random.default_rng(31415)
-    for _ in range(100):
-        A, b = random_int_lp(rng)
-        got = lp_feasible(LPProblem(A=A, b=b), stall_limit=0) is not None
-        assert got == oracle_feasible(A, b)
-
-
-def test_pricing_rules_agree():
-    """Dantzig, Bland, and Bland after a single degenerate pivot give the
-    same verdicts and only feasible points."""
-    rng = np.random.default_rng(577)
-    for _ in range(300):
-        A, b = random_int_lp(rng)
-        lp = LPProblem(A=A, b=b)
-        points = [lp_feasible(lp, stall_limit=s) for s in (0, 1, 50)]
-        assert len({x is None for x in points}) == 1
-        for x in points:
-            if x is not None:
-                _check_point(A, b, x)
-
-
 def test_feasibility_invariant_under_extreme_scaling():
     rng = np.random.default_rng(99)
     for _ in range(20):
@@ -139,31 +144,41 @@ def test_wireless_scale_spread():
     _check_point(A, b, x)
 
 
-@pytest.mark.parametrize("stall_limit", [0, 50])
-def test_infeasible_verdicts_carry_farkas_certificates(stall_limit):
+def test_infeasible_verdicts_carry_farkas_certificates():
     """On criterion 7's draws every infeasible verdict rests on a genuine
-    certificate: y, the row of B^-1 that the solver names for its final
-    basis, rebuilt in exact arithmetic from the integer data, has y >= 0,
-    y A >= 0 and y b < 0."""
+    Farkas certificate."""
     rng = np.random.default_rng(31415)
     checked = 0
     for _ in range(100):
         A, b = random_int_lp(rng)
         warm = WarmStart()
-        x = lp_feasible(LPProblem(A=A, b=b), stall_limit=stall_limit,
-                        warm=warm)
-        if x is not None:
-            continue
-        m, n = A.shape
-        basis = np.hstack([A, np.eye(m)])[:, warm.basis].astype(int)
-        y = _exact_solve(basis.T.tolist(), [int(i == warm.row) for i in range(m)])
-        assert y is not None, "final basis is singular"
-        assert all(v >= 0 for v in y)
-        assert all(sum(y[i] * int(A[i, j]) for i in range(m)) >= 0
-                   for j in range(n))
-        assert sum(y[i] * int(b[i]) for i in range(m)) < 0
-        checked += 1
+        if lp_feasible(LPProblem(A=A, b=b), warm=warm) is None:
+            _check_farkas(A, b, warm)
+            checked += 1
     assert checked == 64     # the rational oracle's infeasible draws
+
+
+@pytest.mark.parametrize("trial", [1213, 6412])
+def test_degenerate_stream_draw_is_feasible(trial):
+    """Two feasible draws of lp_stream(1) on which a tolerance scaled by
+    |B^-1| @ |b| counted rounding in B^-1 as infeasibility: 1213 cycled
+    to the pivot cap, 6412 was called infeasible."""
+    A, b = next(itertools.islice(lp_stream(1), trial, None))
+    assert oracle_feasible(A, b)
+    _check_point(A, b, lp_feasible(LPProblem(A=A, b=b)))
+
+
+def test_degenerate_stream_verdicts_certified():
+    """The first 3000 draws of lp_stream(1) finish within the pivot cap,
+    and every verdict carries its certificate: a feasible point or a
+    Farkas row."""
+    for A, b in itertools.islice(lp_stream(1), 3000):
+        warm = WarmStart()
+        x = lp_feasible(LPProblem(A=A, b=b), warm=warm)
+        if x is None:
+            _check_farkas(A, b, warm)
+        else:
+            _check_point(A, b, x)
 
 
 def test_warm_start_reuses_and_reports_basis():

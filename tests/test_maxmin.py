@@ -506,3 +506,16 @@ def test_non_finite_certificate_fails_loudly(monkeypatch):
     monkeypatch.setattr(maxmin, "sinr", lambda a, eta, se: np.full(3, np.nan))
     with pytest.raises(ValueError, match="not finite"):
         solve_maxmin(stats, cache, se, cfg)
+
+
+def test_large_network_drop_is_solved():
+    """Drop 0 of configs/large_network.cfg at seed 1 (L=64, K=40, an LP
+    of 2560 variables and 104 rows) solves within the pivot cap, where
+    degenerate rows once counted as infeasible made the simplex cycle."""
+    cfg, prop = load_config(CONFIGS / "large_network.cfg")
+    stats, cache, se = build_drop(cfg, prop, _setup_rng(1, 0)[0])
+    res = solve_maxmin(stats, cache, se, cfg)
+    assert res.status == "solved"
+    assert res.t_star == pytest.approx(4.039092, rel=1e-6)
+    ap, energy = _budget_shortfall(res, cache, se, cfg)
+    assert ap <= 1e-12 and energy <= 1e-12
