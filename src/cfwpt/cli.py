@@ -76,6 +76,7 @@ def _run_setup(task):
         "t_star": float(mmf.t_star),
         "probes": len(mmf.trace),
         "infeasible_probes": sum(1 for _, ok, _ in mmf.trace if not ok),
+        "lp_calls": mmf.lp_calls,
         "lp_pivots": mmf.lp_pivots,
         "bracket": [float(v) for v in mmf.bracket],
         "se_mmf": [float(v) for v in mmf.per_ue_se],

@@ -7,7 +7,8 @@ negative basic variable leaves until none is left (feasible), or until
 its row has no negative entry; that row of B^-1 is then a Farkas
 certificate y >= 0 with y A >= 0 and y b < 0 (infeasible).  B^-1 is
 dense and updated in place; each verdict is confirmed on a fresh
-factorization, since the updates drift on ill-conditioned bases.
+factorization, since the updates drift on ill-conditioned bases.  The
+confirmed row is handed out in A's own row units (WarmStart.farkas).
 
 A WarmStart carries the final basis to the next call on the same A (the
 bisection probes of one drop differ in b only), which then needs a few
@@ -48,15 +49,16 @@ class WarmStart:
     """Simplex state carried between calls on one A; updated in place.
 
     basis (m,) names the column basic in each row: j < n is variable j,
-    n + i the slack of row i; None means the all-slack basis.  row is
-    the row whose B^-1 row certified the last infeasible verdict (None
-    after a feasible one), and pivots counts pivots over all calls.  It
+    n + i the slack of row i; None means the all-slack basis.  farkas
+    (m,) is the row of B^-1 that certified the last infeasible verdict,
+    in A's row units: y >= 0, y A >= 0 and y b < 0 up to rounding (None
+    after a feasible one).  pivots counts pivots over all calls.  It
     also keeps the equilibration of the last A it saw, matched by
     identity: pass a new array, not one changed in place.
     """
 
     basis: np.ndarray | None = None
-    row: int | None = None
+    farkas: np.ndarray | None = None
     pivots: int = 0
     _scaled: tuple | None = field(default=None, repr=False)  # (A, ...)
 
@@ -107,7 +109,7 @@ def lp_feasible(lp, max_iter=None, warm=None):
     b = np.asarray(lp.b, dtype=float)
     m, n = np.shape(lp.A)
     warm = WarmStart() if warm is None else warm
-    warm.row = None
+    warm.farkas = None
     if np.all(b >= 0.0):
         return np.zeros(n)
 
@@ -156,7 +158,7 @@ def lp_feasible(lp, max_iter=None, warm=None):
     warm.basis = basis
     warm.pivots += pivots
     if rows.size:
-        warm.row = int(leave)
+        warm.farkas = Binv[leave] / row_scale
         return None
     x = np.zeros(n)
     structural = basis < n

@@ -7,9 +7,16 @@ bisection with bracket doubling after every certified step.
 
 With the weights fixed, the least uplink powers that reach t come from
 one linear solve (minimum_uplink_powers), so the LP only asks whether
-the APs can deliver the energy those powers need.  LP variable layout,
-relied on by tests: x = q, AP l's budget share spent on UE i, flattened
-row-major so q_il sits at index i*L + l.
+the APs can deliver the energy those powers need.  Most probes are
+settled before it runs.  Each infeasible verdict leaves a Farkas row y
+(WarmStart.farkas) whose energy entries, clipped to y >= 0, make a cut:
+with g = sum_k y_k E_k over the per-share energy rows E, every budget
+split q >= 0 with sum_i q_il <= 1 has y . E q = sum_il g_il q_il <=
+h(y) = sum_l max(0, max_i g_il).  So a need (margin included) with
+y . need > h(y) is infeasible, an exact proof without LP tolerance that
+holds whatever the weights, and its probe makes no LP call.  LP
+variable layout, relied on by tests: x = q, AP l's budget share spent
+on UE i, flattened row-major so q_il sits at index i*L + l.
 """
 
 from __future__ import annotations
@@ -35,8 +42,8 @@ class MaxMinResult:
     the latter means not even t = 0 admits a feasible power allocation,
     i.e. some UE cannot cover its pilot energy.  cap_hit reports that
     the iteration guard stopped the loop before the bracket closed.
-    bracket is the final [t_min, t_max] of the bisection and lp_pivots
-    the simplex pivots of all its probes.
+    bracket is the final [t_min, t_max] of the bisection, lp_calls the
+    probes that reached the LP and lp_pivots their simplex pivots.
     """
 
     t_star: float
@@ -49,21 +56,22 @@ class MaxMinResult:
     cap_hit: bool = False
     bracket: tuple = (0.0, 0.0)
     lp_pivots: int = 0
+    lp_calls: int = 0
 
 
-def _empty_result(K, L, trace, bracket, lp_pivots):
-    alloc = PowerAllocation(p=np.zeros((K, L)), eta=np.zeros(K))
+def _result(best, K, L, trace, bracket, energy_lp, cfg, cap_hit=False):
+    """The solve's outcome at best, a certified (alloc, weights, SINRs,
+    t*); with best None, infeasible_at_zero and all-zero powers."""
+    status = "solved" if best is not None else "infeasible_at_zero"
+    if best is None:
+        best = (PowerAllocation(p=np.zeros((K, L)), eta=np.zeros(K)),
+                np.ones((K, L), dtype=complex), np.zeros(K), 0.0)
+    alloc, weights, sinr_k, t_star = best
     return MaxMinResult(
-        t_star=0.0,
-        allocation=alloc,
-        weights=np.ones((K, L), dtype=complex),
-        per_ue_sinr=np.zeros(K),
-        per_ue_se=np.zeros(K),
-        trace=tuple(trace),
-        status="infeasible_at_zero",
-        bracket=bracket,
-        lp_pivots=lp_pivots,
-    )
+        t_star=t_star, allocation=alloc, weights=weights, per_ue_sinr=sinr_k,
+        per_ue_se=spectral_efficiency(sinr_k, cfg), trace=tuple(trace),
+        status=status, cap_hit=cap_hit, bracket=bracket,
+        lp_pivots=energy_lp.warm.pivots, lp_calls=energy_lp.lp_calls)
 
 
 def minimum_uplink_powers(t, a, se):
@@ -119,12 +127,39 @@ def _feasibility_rhs(eta, L, cfg):
     return np.concatenate([-(1.0 + ENERGY_MARGIN) * need, np.ones(L)])
 
 
-def _probe(t, terms, cache, coef, cfg, lp, warm):
+# A cut rules a probe out only if y . need exceeds h(y) by this relative
+# slack, far above the rounding of either sum.
+CUT_RTOL = 1e-12
+
+
+class _EnergyLP:
+    """A drop's feasibility LP, its carried basis and its energy cuts
+    (y, h(y)), one per infeasible LP verdict (module docstring)."""
+
+    def __init__(self, lp, K):
+        self.A, self.energy = lp.A, -lp.A[:K]
+        self.warm, self.cuts, self.lp_calls = WarmStart(), [], 0
+
+    def shares(self, b):
+        """Budget shares q >= 0 with A q <= b, or None if there are none."""
+        need = -b[:len(self.energy)]
+        if any(y @ need > (1.0 + CUT_RTOL) * h for y, h in self.cuts):
+            return None
+        self.lp_calls += 1
+        q = lp_feasible(LPProblem(A=self.A, b=b), warm=self.warm)
+        if q is None:
+            y = np.maximum(self.warm.farkas[:len(need)], 0.0)
+            g = (y @ self.energy).reshape(len(y), -1).max(axis=0)
+            self.cuts.append((y, np.maximum(g, 0.0).sum()))
+        return q
+
+
+def _probe(t, terms, cache, coef, cfg, energy_lp):
     """A power allocation that can pay for SINR t, or None.
 
     terms are sinr_terms of the current weights, formed once per weight
-    vector.  lp is the drop's feasibility system, whose b is replaced by
-    the one for t; warm carries the simplex basis from probe to probe.
+    vector.  energy_lp, an _EnergyLP, settles whether the APs can pay
+    for the least uplink powers that reach t, by a cut or by its LP.
     The LP point is mapped back to powers with every AP budget clipped
     to at most rho_d, and the energy is re-evaluated in float: eta is
     capped at what the harvest covers after the pilot, and the probe
@@ -135,7 +170,7 @@ def _probe(t, terms, cache, coef, cfg, lp, warm):
     if eta is None:
         return None
     b = _feasibility_rhs(eta, cache.tr_rhat.shape[1], cfg)
-    q = lp_feasible(LPProblem(A=lp.A, b=b), warm=warm)
+    q = energy_lp.shares(b)
     if q is None:
         return None
     q = q.reshape(cache.tr_rhat.shape)
@@ -222,15 +257,15 @@ def solve_maxmin(stats, cache, se, cfg, eps=1e-2, max_iters=200):
     """
     K, L = cache.tr_rhat.shape
     coef = energy_coefficient_table(se, cfg)
-    lp = build_feasibility_lp(np.zeros(K), cache, coef, cfg)
-    warm = WarmStart()
+    energy_lp = _EnergyLP(build_feasibility_lp(np.zeros(K), cache, coef, cfg),
+                          K)
     terms = sinr_terms(np.ones((K, L), dtype=complex), se)
     trace = []
 
     t_min = 0.0
     t_max = upper_bound_tmax(se, cache, stats, cfg)
     if t_max <= 0.0:
-        return _empty_result(K, L, trace, (t_min, t_max), 0)
+        return _result(None, K, L, trace, (t_min, t_max), energy_lp, cfg)
 
     best = None
     cap_hit = False
@@ -241,7 +276,7 @@ def solve_maxmin(stats, cache, se, cfg, eps=1e-2, max_iters=200):
             break
         iters += 1
         t = 0.5 * (t_min + t_max)
-        alloc = _probe(t, terms, cache, coef, cfg, lp, warm)
+        alloc = _probe(t, terms, cache, coef, cfg, energy_lp)
         if alloc is None:
             trace.append((t, False, None))
             t_max = t
@@ -261,26 +296,14 @@ def solve_maxmin(stats, cache, se, cfg, eps=1e-2, max_iters=200):
     if best is None:
         # Bracket collapsed without one certified point; a plain
         # feasibility check at t = 0 settles solvability.
-        alloc = _probe(0.0, terms, cache, coef, cfg, lp, warm)
+        alloc = _probe(0.0, terms, cache, coef, cfg, energy_lp)
         if alloc is None:
             trace.append((0.0, False, None))
-            return _empty_result(K, L, trace, (t_min, t_max), warm.pivots)
+            return _result(None, K, L, trace, (t_min, t_max), energy_lp, cfg)
         best = _certify(alloc, se)
         trace.append((0.0, True, best[3]))
 
-    alloc, weights, sinr_k, t_star = best
-    return MaxMinResult(
-        t_star=t_star,
-        allocation=alloc,
-        weights=weights,
-        per_ue_sinr=sinr_k,
-        per_ue_se=spectral_efficiency(sinr_k, cfg),
-        trace=tuple(trace),
-        status="solved",
-        cap_hit=cap_hit,
-        bracket=(t_min, t_max),
-        lp_pivots=warm.pivots,
-    )
+    return _result(best, K, L, trace, (t_min, t_max), energy_lp, cfg, cap_hit)
 
 
 def fpc_baseline(stats, cache, se, cfg):

@@ -296,9 +296,9 @@ def test_cdf_rejects_non_finite_se(value, tmp_path, capsys):
 
 
 def test_manifest_records_solver_path(tmp_path):
-    """Each record carries the probe counts, the simplex pivots and the
-    final bracket of its solve, and stays a pure function of (config,
-    seed)."""
+    """Each record carries the probe counts, the LP calls and simplex
+    pivots and the final bracket of its solve, and stays a pure function
+    of (config, seed)."""
     cfg, prop = _demo()
     first = run_optimize(cfg, prop, setups=2, seed=5, out_dir=tmp_path / "a")
     again = run_optimize(cfg, prop, setups=2, seed=5, out_dir=tmp_path / "b")
@@ -306,6 +306,7 @@ def test_manifest_records_solver_path(tmp_path):
     for rec in json.loads((tmp_path / "a" / "manifest.json").read_text())[
             "records"]:
         assert rec["probes"] >= rec["infeasible_probes"] >= 0
+        assert 0 <= rec["lp_calls"] <= rec["probes"]
         assert rec["lp_pivots"] >= 0
         t_min, t_max = rec["bracket"]
         if rec["status"] == "solved":

@@ -16,17 +16,21 @@ def _check_point(A, b, x, tol=1e-7):
 
 
 def _check_farkas(A, b, warm):
-    """The row of B^-1 that warm names for its final basis, rebuilt in
+    """The row of B^-1 that warm holds for its final basis, rebuilt in
     exact arithmetic from the integer data, is a Farkas certificate:
-    y >= 0, y A >= 0 and y b < 0.
+    y >= 0, y A >= 0 and y b < 0; and warm.farkas is that row, up to a
+    positive scale and rounding.
 
-    y solves B^T y = e_row.  A basic slack of row i fixes y_i to its
-    entry of e_row, so only the structural basic columns leave a system
-    to solve, in the other entries of y.
+    y solves B^T y = e_row, where row is the one unit entry of
+    warm.farkas @ [A I][:, basis] (in A's row units that product is
+    e_row times a positive column scale).  A basic slack of row i fixes
+    y_i to its entry of e_row, so only the structural basic columns
+    leave a system to solve, in the other entries of y.
     """
     m, n = A.shape
+    unit = warm.farkas @ np.hstack([A, np.eye(m)])[:, warm.basis]
     A = A.astype(int)
-    e = (np.arange(m) == warm.row).astype(int)
+    e = (np.arange(m) == np.argmax(np.abs(unit))).astype(int)
     slack = warm.basis >= n
     fixed, cols = warm.basis[slack] - n, warm.basis[~slack]
     free = np.setdiff1d(np.arange(m), fixed)
@@ -40,6 +44,9 @@ def _check_farkas(A, b, warm):
     assert np.all(y >= 0)
     assert np.all(y @ A >= 0)
     assert y @ b.astype(int) < 0
+    exact = np.array([float(v) for v in y]) / max(y)
+    assert np.allclose(warm.farkas / warm.farkas.max(), exact,
+                       rtol=1e-9, atol=1e-12)
 
 
 def test_single_variable_feasible():
@@ -183,12 +190,12 @@ def test_degenerate_stream_verdicts_certified():
 
 def test_warm_start_reuses_and_reports_basis():
     """A WarmStart hands each call's final basis to the next call on the
-    same A; the pivot count accumulates and row names the certificate."""
+    same A; the pivot count accumulates and farkas holds the certificate."""
     A = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
     warm = WarmStart()
     x = lp_feasible(LPProblem(A=A, b=np.array([-1.0, 1.0, 1.0])), warm=warm)
     _check_point(A, np.array([-1.0, 1.0, 1.0]), x)
-    assert warm.row is None and warm.pivots >= 1
+    assert warm.farkas is None and warm.pivots >= 1
     first = warm.pivots
     # A smaller need: the carried basis stays feasible, so no pivot.
     b = np.array([-0.5, 1.0, 1.0])
@@ -196,7 +203,10 @@ def test_warm_start_reuses_and_reports_basis():
     assert warm.pivots == first
     assert lp_feasible(LPProblem(A=A, b=np.array([-3.0, 1.0, 1.0])),
                        warm=warm) is None
-    assert warm.row is not None and sorted(warm.basis) == sorted(set(warm.basis))
+    y = warm.farkas
+    assert np.all(y >= 0.0) and np.all(y @ A >= 0.0)
+    assert y @ np.array([-3.0, 1.0, 1.0]) < 0.0
+    assert sorted(warm.basis) == sorted(set(warm.basis))
 
 
 @pytest.mark.parametrize("basis", [

@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +10,10 @@ from cfwpt.cli import _setup_rng, build_drop
 from cfwpt.config import ScenarioConfig, load_config
 from cfwpt.estimation import build_cache
 from cfwpt.geometry import PropagationModel
-from cfwpt.lp import WarmStart, lp_feasible
+from cfwpt.lp import LPProblem, WarmStart, lp_feasible
 from cfwpt import maxmin
 from cfwpt.maxmin import (
+    CUT_RTOL,
     ENERGY_MARGIN,
     build_feasibility_lp,
     energy_coefficient_table,
@@ -29,6 +31,7 @@ from helpers import (
     dense_covariance,
     dense_psi_inv_r,
     direct_rhat,
+    oracle_feasible,
     synthetic_stats,
 )
 
@@ -475,13 +478,31 @@ def _criterion_8_many_small_aps_drop_6():
     return cfg, 1e-4, build_drop(cfg, PropagationModel(), rng)
 
 
+def _spy_shares(monkeypatch):
+    """Record every _EnergyLP.shares call as (energy_lp, b, settled by a
+    cut, cuts stored before the call, shares returned)."""
+    calls = []
+    shares = maxmin._EnergyLP.shares
+
+    def spy(self, b):
+        lp_calls, cuts = self.lp_calls, len(self.cuts)
+        q = shares(self, b)
+        calls.append((self, b.copy(), self.lp_calls == lp_calls, cuts, q))
+        return q
+
+    monkeypatch.setattr(maxmin._EnergyLP, "shares", spy)
+    return calls
+
+
 @pytest.mark.parametrize("make", [_reference_drop_0,
                                   _criterion_8_many_small_aps_drop_6],
                          ids=["reference-seed-1-drop-0",
                               "criterion-8-many-small-aps-drop-6"])
 def test_warm_verdicts_match_cold_solves(make, monkeypatch):
     """Every probe of a drop gets the verdict a cold solve from the slack
-    basis gives, while the carried basis saves most of the pivots."""
+    basis gives: the LP calls posed on the carried basis, and the probes
+    an energy cut settles without an LP call.  The carried basis saves
+    most of the pivots."""
     cfg, eps, (stats, cache, se) = make()
     posed = []
 
@@ -491,14 +512,65 @@ def test_warm_verdicts_match_cold_solves(make, monkeypatch):
         return x
 
     monkeypatch.setattr(maxmin, "lp_feasible", spy)
+    calls = _spy_shares(monkeypatch)
     res = solve_maxmin(stats, cache, se, cfg, eps=eps)
-    assert res.status == "solved" and len(posed) > 20
+    assert res.status == "solved" and len(res.trace) > 20
+    assert res.lp_calls == len(posed)
     cold_pivots = 0
     for lp, warm_verdict in posed:
         cold = WarmStart()
         assert (lp_feasible(lp, warm=cold) is not None) == warm_verdict
         cold_pivots += cold.pivots
     assert res.lp_pivots < cold_pivots / 2
+    settled = [LPProblem(A=e.A, b=b) for e, b, by_cut, _, _ in calls if by_cut]
+    assert settled
+    for lp in settled:
+        assert lp_feasible(lp, warm=WarmStart()) is None
+
+
+def _exact_cut_excess(y, need, energy):
+    """y . need - h(y), h(y) = sum_l max(0, max_i (sum_k y_k E_k)_il), in
+    exact rational arithmetic from the floats y, need and the energy
+    rows E (K, K*L)."""
+    K, KL = energy.shape
+    y = [Fraction(v) for v in y]
+    g = [sum(yk * Fraction(e) for yk, e in zip(y, energy[:, j]))
+         for j in range(KL)]
+    h = sum(max([Fraction(0)] + g[l::KL // K]) for l in range(KL // K))
+    return sum(yk * Fraction(v) for yk, v in zip(y, need)) - h
+
+
+def test_energy_cuts_are_exact(monkeypatch):
+    """On 20 small random drops, each cut rules out the probe whose LP
+    verdict made it, and each probe a cut settles is infeasible by the
+    exact rational oracle, every cut that fired holding in exact
+    arithmetic as well."""
+    cfg = ScenarioConfig(L=3, K=3, N=4, tau_p=2, tau_d=25, tau_u=173,
+                         rho_d=1.0)
+    calls = _spy_shares(monkeypatch)
+    for i in range(20):
+        rng = np.random.default_rng(np.random.SeedSequence(2718,
+                                                           spawn_key=(i,)))
+        stats, cache, se = build_drop(cfg, PropagationModel(), rng)
+        solve_maxmin(stats, cache, se, cfg, eps=1e-4)
+    settled = 0
+    for energy_lp, b, by_cut, before, q in calls:
+        need = -b[:cfg.K]
+        if not by_cut:
+            if q is None:
+                y, h = energy_lp.cuts[before]
+                assert y @ need > (1.0 + CUT_RTOL) * h
+                assert _exact_cut_excess(y, need, energy_lp.energy) > 0
+            continue
+        settled += 1
+        assert q is None
+        fired = [y for y, h in energy_lp.cuts[:before]
+                 if y @ need > (1.0 + CUT_RTOL) * h]
+        assert fired
+        for y in fired:
+            assert _exact_cut_excess(y, need, energy_lp.energy) > 0
+        assert not oracle_feasible(energy_lp.A, b)
+    assert settled > 100
 
 
 def test_non_finite_certificate_fails_loudly(monkeypatch):
