@@ -7,8 +7,9 @@ negative basic variable leaves until none is left (feasible), or until
 its row has no negative entry; that row of B^-1 is then a Farkas
 certificate y >= 0 with y A >= 0 and y b < 0 (infeasible).  B^-1 is
 dense and updated in place; each verdict is confirmed on a fresh
-factorization, since the updates drift on ill-conditioned bases.  The
-confirmed row is handed out in A's own row units (WarmStart.farkas).
+factorization of its own basis, which raises if that basis is singular,
+since the updates drift on ill-conditioned bases.  The confirmed row is
+handed out in A's own row units (WarmStart.farkas).
 
 A WarmStart carries the final basis to the next call on the same A (the
 bisection probes of one drop differ in b only), which then needs a few
@@ -18,7 +19,8 @@ dual steepest edge, the entering column as that row's most negative
 entry.  A basic variable counts as feasible down to a tolerance scaled
 by its row of B^-1 and the largest |b|, so a degenerate variable that
 rounding in B^-1 puts a little below zero does not count as infeasible.
-The pivot cap bounds each call.
+A cap of PIVOT_CAP_FACTOR * (10 + 2m + n) pivots on m rows and n
+variables bounds each call.
 
 The raw data spans many orders of magnitude (power coefficients around
 1e7 against harvested energies around 1e-7), so the rows and columns of
@@ -65,12 +67,14 @@ class WarmStart:
 
 # Tolerances in equilibrated units: a basic variable counts as feasible
 # at or above -TOL_FEASIBLE times ||its row of B^-1||_1 times max|b|,
-# and a pivot entry must lie below -TOL_PIV times ||its row of B^-1||_1.
-# A carried basis whose inverse has an entry above MAX_INVERSE counts as
-# ill-conditioned.
+# and a pivot entry must lie below -TOL_PIV times ||its row of B^-1||_1
+# (a smaller one can be drift in the updated B^-1, and a pivot on it can
+# leave a singular basis).  A carried basis whose inverse has an entry
+# above MAX_INVERSE counts as ill-conditioned.
 TOL_FEASIBLE = 1e-9
-TOL_PIV = 1e-11
+TOL_PIV = 1e-9
 MAX_INVERSE = 1e10
+PIVOT_CAP_FACTOR = 50
 
 
 def _equilibrate(A):
@@ -85,26 +89,27 @@ def _equilibrate(A):
     return np.hstack([A / col_scale, np.eye(A.shape[0])]), row_scale, col_scale
 
 
-def _factor(M, basis, limit=MAX_INVERSE):
-    """(basis, B^-1) factored from M, or the all-slack basis and identity
-    if basis is missing, unusable or singular, or B^-1 has an entry
-    above limit."""
+def _factor(M, basis):
+    """(basis, B^-1) for a carried basis, or the all-slack basis and
+    identity if basis is missing, unusable or singular, or B^-1 has an
+    entry above MAX_INVERSE."""
     if basis is not None:
         try:
             Binv = np.linalg.inv(M[:, basis])
         except (IndexError, np.linalg.LinAlgError):
             Binv = None
-        if Binv is not None and np.abs(Binv).max() <= limit:
+        if Binv is not None and np.abs(Binv).max() <= MAX_INVERSE:
             return basis.copy(), Binv
     m, cols = M.shape
     return cols - m + np.arange(m), np.eye(m)
 
 
-def lp_feasible(lp, max_iter=None, warm=None):
+def lp_feasible(lp, warm=None):
     """Dual simplex: a feasible x (ndarray) or None.
 
     warm, a WarmStart, supplies the starting basis and receives the
-    final one.  Raises SimplexIterationError if the pivot cap is hit.
+    final one.  Raises SimplexIterationError at the pivot cap, and
+    numpy.linalg.LinAlgError if a basis to confirm is singular.
     """
     b = np.asarray(lp.b, dtype=float)
     m, n = np.shape(lp.A)
@@ -122,8 +127,7 @@ def lp_feasible(lp, max_iter=None, warm=None):
     fresh = True                # no update to Binv since it was factored
     work = np.empty((m, m))
 
-    if max_iter is None:
-        max_iter = 500 + 50 * (2 * m + n)
+    max_iter = PIVOT_CAP_FACTOR * (10 + 2 * m + n)
     b_max = np.abs(b).max()
     pivots = 0
     while True:
@@ -137,7 +141,7 @@ def lp_feasible(lp, max_iter=None, warm=None):
         if rows.size == 0 or cols.size == 0:
             if fresh:
                 break
-            basis, Binv = _factor(M, basis, limit=np.inf)
+            Binv = np.linalg.inv(M[:, basis])
             beta, fresh = Binv @ b, True
             continue
         if pivots >= max_iter:

@@ -7,16 +7,17 @@ bisection with bracket doubling after every certified step.
 
 With the weights fixed, the least uplink powers that reach t come from
 one linear solve (minimum_uplink_powers), so the LP only asks whether
-the APs can deliver the energy those powers need.  Most probes are
-settled before it runs.  Each infeasible verdict leaves a Farkas row y
-(WarmStart.farkas) whose energy entries, clipped to y >= 0, make a cut:
-with g = sum_k y_k E_k over the per-share energy rows E, every budget
-split q >= 0 with sum_i q_il <= 1 has y . E q = sum_il g_il q_il <=
-h(y) = sum_l max(0, max_i g_il).  So a need (margin included) with
-y . need > h(y) is infeasible, an exact proof without LP tolerance that
-holds whatever the weights, and its probe makes no LP call.  LP
-variable layout, relied on by tests: x = q, AP l's budget share spent
-on UE i, flattened row-major so q_il sits at index i*L + l.
+the APs can deliver the energy those powers need; one _EnergyLP per
+solve poses it.  Most probes are settled before the LP runs.  Each
+infeasible verdict leaves a Farkas row y (WarmStart.farkas) whose
+energy entries, clipped to y >= 0, make a cut: with g = sum_k y_k E_k
+over the per-share energy rows E, every budget split q >= 0 with
+sum_i q_il <= 1 has y . E q = sum_il g_il q_il <= h(y) = sum_l max(0,
+max_i g_il).  So a need (margin included) with y . need > h(y) is
+infeasible, an exact proof without LP tolerance that holds whatever the
+weights, and its probe makes no LP call.  LP variable layout, relied on
+by tests: x = q, AP l's budget share spent on UE i, flattened row-major
+so q_il sits at index i*L + l.
 """
 
 from __future__ import annotations
@@ -51,44 +52,41 @@ class MaxMinResult:
     weights: np.ndarray      # (K, L) complex
     per_ue_sinr: np.ndarray  # (K,)
     per_ue_se: np.ndarray    # (K,) bits/s/Hz
-    trace: tuple
-    status: str
+    trace: tuple = ()
+    status: str = "solved"
     cap_hit: bool = False
     bracket: tuple = (0.0, 0.0)
     lp_pivots: int = 0
     lp_calls: int = 0
 
 
-def _result(best, K, L, trace, bracket, energy_lp, cfg, cap_hit=False):
-    """The solve's outcome at best, a certified (alloc, weights, SINRs,
-    t*); with best None, infeasible_at_zero and all-zero powers."""
-    status = "solved" if best is not None else "infeasible_at_zero"
+def _result(best, cfg, **path):
+    """The outcome at best, a certified (alloc, weights, SINRs, t*,
+    terms) from _certify; path holds the solver's fields.  With best
+    None, infeasible_at_zero and all-zero powers."""
     if best is None:
-        best = (PowerAllocation(p=np.zeros((K, L)), eta=np.zeros(K)),
-                np.ones((K, L), dtype=complex), np.zeros(K), 0.0)
-    alloc, weights, sinr_k, t_star = best
+        path["status"] = "infeasible_at_zero"
+        zero = PowerAllocation(p=np.zeros((cfg.K, cfg.L)), eta=np.zeros(cfg.K))
+        best = (zero, np.ones((cfg.K, cfg.L), dtype=complex), np.zeros(cfg.K),
+                0.0, None)
+    alloc, weights, sinr_k, t_star, _ = best
     return MaxMinResult(
         t_star=t_star, allocation=alloc, weights=weights, per_ue_sinr=sinr_k,
-        per_ue_se=spectral_efficiency(sinr_k, cfg), trace=tuple(trace),
-        status=status, cap_hit=cap_hit, bracket=bracket,
-        lp_pivots=energy_lp.warm.pivots, lp_calls=energy_lp.lp_calls)
+        per_ue_se=spectral_efficiency(sinr_k, cfg), **path)
 
 
-def minimum_uplink_powers(t, a, se):
+def minimum_uplink_powers(t, terms):
     """Least uplink powers eta that give every UE an SINR of at least t.
 
-    With the weights a fixed, SINR_k >= t reads B eta >= t noise, where
-    B = diag((1 + t) gain) - t cross.  Every C_km is PSD, so cross >= 0
-    and B is a Z-matrix.  A positive solution of B eta = t noise (noise
-    > 0) makes B a nonsingular M-matrix, whose inverse is entrywise
-    non-negative, so that eta is the least one reaching t (Yates'
-    standard interference functions).  Otherwise no eta >= 0 reaches
-    t, and None is returned.
+    terms = (gain, cross, noise) are the sinr_terms of the weights.
+    SINR_k >= t reads B eta >= t noise, where B = diag((1 + t) gain) -
+    t cross.  Every C_km is PSD, so cross >= 0 and B is a Z-matrix.  A
+    positive solution of B eta = t noise (noise > 0) makes B a
+    nonsingular M-matrix, whose inverse is entrywise non-negative, so
+    that eta is the least one reaching t (Yates' standard interference
+    functions).  Otherwise no eta >= 0 reaches t, and None is returned.
     """
-    return _least_powers(t, *sinr_terms(a, se))
-
-
-def _least_powers(t, gain, cross, noise):
+    gain, cross, noise = terms
     if t == 0.0:
         return np.zeros_like(gain)
     B = -t * cross
@@ -106,25 +104,20 @@ def _least_powers(t, gain, cross, noise):
 ENERGY_MARGIN = 1e-9
 
 
-def build_feasibility_lp(eta, cache, energy_coef, cfg):
-    """Inequality system whose feasibility means eta can be paid for.
+def build_feasibility_lp(cache, energy_coef, cfg):
+    """The rows A of the inequality system A q <= b whose feasibility
+    means the APs can pay for the UEs' energy need.
 
     Variables: q_il = p_il tr(Rhat_il) / rho_d, the share of AP l's
     budget spent on UE i.  Rows 0..K-1: -E_k q <= -(1 + ENERGY_MARGIN)
     need_k, where E_k q is UE k's harvest and need_k = tau_p rho_p +
     tau_u eta_k.  Rows K..K+L-1: sum_i q_il <= 1 at each AP.  Only b
-    depends on eta, so a solve builds A once and forms b per probe.
+    depends on the uplink powers eta; _EnergyLP.probe forms it.
     energy_coef is the (K, K, L) table from energy_coefficient_table.
     """
     K, L = cache.tr_rhat.shape
     per_share = energy_coef * (cfg.rho_d / cache.tr_rhat)   # dE_k / dq_il
-    A = np.vstack([-per_share.reshape(K, K * L), np.tile(np.eye(L), K)])
-    return LPProblem(A=A, b=_feasibility_rhs(eta, L, cfg))
-
-
-def _feasibility_rhs(eta, L, cfg):
-    need = cfg.tau_p * cfg.rho_p + cfg.tau_u * np.asarray(eta, dtype=float)
-    return np.concatenate([-(1.0 + ENERGY_MARGIN) * need, np.ones(L)])
+    return np.vstack([-per_share.reshape(K, K * L), np.tile(np.eye(L), K)])
 
 
 # A cut rules a probe out only if y . need exceeds h(y) by this relative
@@ -133,52 +126,51 @@ CUT_RTOL = 1e-12
 
 
 class _EnergyLP:
-    """A drop's feasibility LP, its carried basis and its energy cuts
-    (y, h(y)), one per infeasible LP verdict (module docstring)."""
+    """One solve's feasibility probe: the LP rows, laid out once, the
+    carried simplex basis, the energy cuts (y, h(y)), one per infeasible
+    LP verdict (module docstring), and the count of LP calls."""
 
-    def __init__(self, lp, K):
-        self.A, self.energy = lp.A, -lp.A[:K]
+    def __init__(self, cache, coef, cfg):
+        self.coef, self.cfg = coef, cfg
+        self.scale = cfg.rho_d / cache.tr_rhat      # q_il -> p_il
+        self.A = build_feasibility_lp(cache, coef, cfg)
+        self.energy = -self.A[:cfg.K]                # E_k q, UE k's harvest
         self.warm, self.cuts, self.lp_calls = WarmStart(), [], 0
 
-    def shares(self, b):
-        """Budget shares q >= 0 with A q <= b, or None if there are none."""
-        need = -b[:len(self.energy)]
+    def probe(self, t, terms):
+        """A power allocation that can pay for SINR t, or None.
+
+        terms are sinr_terms of the current weights.  The least uplink
+        powers that reach t fix each UE's energy need, margin included;
+        a cut or the LP settles whether the APs can deliver it.  The LP
+        point is mapped back to powers with every AP budget clipped to
+        at most rho_d, and the energy is re-evaluated in float: eta is
+        capped at what the harvest covers after the pilot, and the probe
+        fails if some UE cannot even pay for its pilot.  So the returned
+        allocation meets both budgets by construction.
+        """
+        eta = minimum_uplink_powers(t, terms)
+        if eta is None:
+            return None
+        cfg = self.cfg
+        pilot = cfg.tau_p * cfg.rho_p
+        need = (1.0 + ENERGY_MARGIN) * (pilot + cfg.tau_u * eta)
         if any(y @ need > (1.0 + CUT_RTOL) * h for y, h in self.cuts):
             return None
         self.lp_calls += 1
+        b = np.concatenate([-need, np.ones(cfg.L)])
         q = lp_feasible(LPProblem(A=self.A, b=b), warm=self.warm)
         if q is None:
-            y = np.maximum(self.warm.farkas[:len(need)], 0.0)
-            g = (y @ self.energy).reshape(len(y), -1).max(axis=0)
+            y = np.maximum(self.warm.farkas[:cfg.K], 0.0)
+            g = (y @ self.energy).reshape(cfg.K, -1).max(axis=0)
             self.cuts.append((y, np.maximum(g, 0.0).sum()))
-        return q
-
-
-def _probe(t, terms, cache, coef, cfg, energy_lp):
-    """A power allocation that can pay for SINR t, or None.
-
-    terms are sinr_terms of the current weights, formed once per weight
-    vector.  energy_lp, an _EnergyLP, settles whether the APs can pay
-    for the least uplink powers that reach t, by a cut or by its LP.
-    The LP point is mapped back to powers with every AP budget clipped
-    to at most rho_d, and the energy is re-evaluated in float: eta is
-    capped at what the harvest covers after the pilot, and the probe
-    fails if some UE cannot even pay for its pilot.  So the returned
-    allocation meets both budgets by construction.
-    """
-    eta = _least_powers(t, *terms)
-    if eta is None:
-        return None
-    b = _feasibility_rhs(eta, cache.tr_rhat.shape[1], cfg)
-    q = energy_lp.shares(b)
-    if q is None:
-        return None
-    q = q.reshape(cache.tr_rhat.shape)
-    p = q / np.maximum(1.0, q.sum(axis=0)) * (cfg.rho_d / cache.tr_rhat)
-    spare = harvested_energy(p, coef) - cfg.tau_p * cfg.rho_p
-    if np.any(spare < 0.0):
-        return None
-    return PowerAllocation(p=p, eta=np.minimum(eta, spare / cfg.tau_u))
+            return None
+        q = q.reshape(self.scale.shape)
+        p = q / np.maximum(1.0, q.sum(axis=0)) * self.scale
+        spare = harvested_energy(p, self.coef) - pilot
+        if np.any(spare < 0.0):
+            return None
+        return PowerAllocation(p=p, eta=np.minimum(eta, spare / cfg.tau_u))
 
 
 def optimal_lsfd(eta, se):
@@ -227,20 +219,27 @@ def upper_bound_tmax(se, cache, stats, cfg):
 
 
 def _certify(alloc, se):
-    """Optimal weights for alloc and the SINRs they give.
+    """(alloc, weights, SINRs, t*, terms): the optimal weights for alloc,
+    the SINRs they give, their minimum and the weights' sinr_terms,
+    which the next probes reuse.
 
     Raises ValueError if the minimum SINR is not finite, so no solve is
     reported as solved without a finite certificate.
     """
     a = optimal_lsfd(alloc.eta, se)
-    sinr_k = sinr(a, alloc.eta, se)
+    terms = sinr_terms(a, se)
+    sinr_k = sinr(terms, alloc.eta)
     t_star = float(sinr_k.min())
     if not np.isfinite(t_star):
         raise ValueError(f"certified minimum SINR {t_star} is not finite")
-    return alloc, a, sinr_k, t_star
+    return alloc, a, sinr_k, t_star, terms
 
 
-def solve_maxmin(stats, cache, se, cfg, eps=1e-2, max_iters=200):
+# Iteration guard of the bisection; a solve that reaches it reports cap_hit.
+MAX_PROBES = 200
+
+
+def solve_maxmin(stats, cache, se, cfg, eps=1e-2):
     """Alternating bisection for the max-min fair SINR problem.
 
     Each feasible probe is re-certified with refreshed optimal weights;
@@ -253,38 +252,27 @@ def solve_maxmin(stats, cache, se, cfg, eps=1e-2, max_iters=200):
     uplink powers can fall marginally short of t once capped at the
     harvest, and re-opening on such probes would keep the loop alive
     forever.
-    Stops once the bracket is narrower than eps or the guard trips.
+    Stops once the bracket is narrower than eps or MAX_PROBES probes
+    have run.
     """
-    K, L = cache.tr_rhat.shape
-    coef = energy_coefficient_table(se, cfg)
-    energy_lp = _EnergyLP(build_feasibility_lp(np.zeros(K), cache, coef, cfg),
-                          K)
-    terms = sinr_terms(np.ones((K, L), dtype=complex), se)
+    energy_lp = _EnergyLP(cache, energy_coefficient_table(se, cfg), cfg)
+    terms = sinr_terms(np.ones_like(se.b, dtype=complex), se)
     trace = []
 
     t_min = 0.0
     t_max = upper_bound_tmax(se, cache, stats, cfg)
-    if t_max <= 0.0:
-        return _result(None, K, L, trace, (t_min, t_max), energy_lp, cfg)
-
     best = None
-    cap_hit = False
-    iters = 0
-    while t_max - t_min > eps:
-        if iters >= max_iters:
-            cap_hit = True
-            break
-        iters += 1
+    while t_max - t_min > eps and len(trace) < MAX_PROBES:
         t = 0.5 * (t_min + t_max)
-        alloc = _probe(t, terms, cache, coef, cfg, energy_lp)
+        alloc = energy_lp.probe(t, terms)
         if alloc is None:
             trace.append((t, False, None))
             t_max = t
             continue
-        alloc, a, sinr_k, t_star = _certify(alloc, se)
-        terms = sinr_terms(a, se)
+        cert = _certify(alloc, se)
+        t_star, terms = cert[3], cert[4]
         if best is None or t_star > best[3]:
-            best = (alloc, a, sinr_k, t_star)
+            best = cert
         trace.append((t, True, best[3]))
         if t_star > t_min + 1e-9 * max(1.0, t_min):
             t_min = t_star
@@ -293,17 +281,19 @@ def solve_maxmin(stats, cache, se, cfg, eps=1e-2, max_iters=200):
             t_min = max(t_min, t_star)
             t_max = t
 
-    if best is None:
+    if best is None and t_max > 0.0:
         # Bracket collapsed without one certified point; a plain
-        # feasibility check at t = 0 settles solvability.
-        alloc = _probe(0.0, terms, cache, coef, cfg, energy_lp)
-        if alloc is None:
-            trace.append((0.0, False, None))
-            return _result(None, K, L, trace, (t_min, t_max), energy_lp, cfg)
-        best = _certify(alloc, se)
-        trace.append((0.0, True, best[3]))
+        # feasibility check at t = 0 settles solvability.  t_max = 0
+        # already says that some UE cannot pay its pilot.
+        alloc = energy_lp.probe(0.0, terms)
+        best = None if alloc is None else _certify(alloc, se)
+        trace.append((0.0, best is not None, best[3] if best else None))
 
-    return _result(best, K, L, trace, (t_min, t_max), energy_lp, cfg, cap_hit)
+    # The loop ends with the bracket open only at the iteration guard.
+    return _result(best, cfg, trace=tuple(trace), bracket=(t_min, t_max),
+                   cap_hit=t_max - t_min > eps,
+                   lp_pivots=energy_lp.warm.pivots,
+                   lp_calls=energy_lp.lp_calls)
 
 
 def fpc_baseline(stats, cache, se, cfg):
@@ -314,17 +304,6 @@ def fpc_baseline(stats, cache, se, cfg):
     """
     root = np.sqrt(cache.tr_rhat)
     p = (cfg.rho_d / root.sum(axis=0))[None, :] / root
-    coef = energy_coefficient_table(se, cfg)
-    energy = harvested_energy(p, coef)
+    energy = harvested_energy(p, energy_coefficient_table(se, cfg))
     eta = np.maximum(0.0, (energy - cfg.tau_p * cfg.rho_p) / cfg.tau_u)
-    a = optimal_lsfd(eta, se)
-    sinr_k = sinr(a, eta, se)
-    return MaxMinResult(
-        t_star=float(sinr_k.min()),
-        allocation=PowerAllocation(p=p, eta=eta),
-        weights=a,
-        per_ue_sinr=sinr_k,
-        per_ue_se=spectral_efficiency(sinr_k, cfg),
-        trace=(),
-        status="solved",
-    )
+    return _result(_certify(PowerAllocation(p=p, eta=eta), se), cfg)

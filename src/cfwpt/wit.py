@@ -85,10 +85,10 @@ def sinr_terms(a, se):
     return gain, cross, noise
 
 
-def sinr(a, eta, se):
-    """(K,) effective uplink SINRs under weights a and powers eta."""
-    eta = np.asarray(eta, dtype=float)
-    gain, cross, noise = sinr_terms(a, se)
+def sinr(terms, eta):
+    """(K,) effective uplink SINRs under powers eta, from the sinr_terms
+    of the weights."""
+    gain, cross, noise = terms
     signal = eta * gain
     denom = cross @ eta - signal + noise
     bad = np.flatnonzero(denom <= 0.0)

@@ -24,7 +24,7 @@ from cfwpt.estimation import build_cache
 from cfwpt.geometry import PropagationModel
 from cfwpt.lp import LPProblem, lp_feasible
 from cfwpt.maxmin import fpc_baseline, optimal_lsfd, solve_maxmin
-from cfwpt.wit import lsfd_statistics, se_statistics_oracle, sinr
+from cfwpt.wit import lsfd_statistics, se_statistics_oracle, sinr, sinr_terms
 from cfwpt.wpt import (
     harvested_energy,
     harvested_energy_coefficients,
@@ -184,7 +184,7 @@ def test_criterion_4_optimizer_soundness(optimizer_sweep):
         coef = harvested_energy_coefficients(se, cfg)
         alloc = res.allocation
         a = optimal_lsfd(alloc.eta, se)
-        worst_sinr = sinr(a, alloc.eta, se).min()
+        worst_sinr = sinr(sinr_terms(a, se), alloc.eta).min()
         if worst_sinr < res.t_star - 1e-6:
             ok = False
             notes.append(f"SINR certificate broken ({worst_sinr} < {res.t_star})")
@@ -238,7 +238,7 @@ def test_criterion_6_weight_optimality():
         se = lsfd_statistics(cache, stats, cfg)
         eta = rng0.uniform(0.0, 1.0, size=K)
         a_opt = optimal_lsfd(eta, se)
-        sinr_opt = sinr(a_opt, eta, se)
+        sinr_opt = sinr(sinr_terms(a_opt, se), eta)
         for k in range(K):
             m = np.einsum("m,mlw->lw", eta, se.C[k]) + np.diag(se.D[k])
             q = float(np.vdot(se.b[k].astype(complex),

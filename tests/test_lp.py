@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import cfwpt.lp
 from cfwpt.lp import LPProblem, SimplexIterationError, WarmStart, lp_feasible
 
 from helpers import _exact_solve, lp_stream, oracle_feasible, random_int_lp
@@ -95,10 +96,11 @@ def test_zero_variables():
     assert lp_feasible(LPProblem(A=np.zeros((1, 0)), b=np.array([-1.0]))) is None
 
 
-def test_iteration_cap_raises():
+def test_iteration_cap_raises(monkeypatch):
     lp = LPProblem(A=np.array([[-1.0]]), b=np.array([-2.0]))
-    with pytest.raises(SimplexIterationError):
-        lp_feasible(lp, max_iter=0)
+    monkeypatch.setattr(cfwpt.lp, "PIVOT_CAP_FACTOR", 0)
+    with pytest.raises(SimplexIterationError, match="in 0 pivots"):
+        lp_feasible(lp)
 
 
 def test_returned_point_feasibility_random():

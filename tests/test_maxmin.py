@@ -23,7 +23,7 @@ from cfwpt.maxmin import (
     solve_maxmin,
     upper_bound_tmax,
 )
-from cfwpt.wit import lsfd_statistics, sinr, spectral_efficiency
+from cfwpt.wit import lsfd_statistics, sinr, sinr_terms, spectral_efficiency
 from cfwpt.wpt import harvested_energy
 
 from helpers import (
@@ -71,51 +71,71 @@ def test_energy_table_stacks_per_ue_gradients():
         assert np.allclose(table[k], want, rtol=1e-12, atol=0.0)
 
 
-def test_lp_layout():
+def _posed_b(t, terms, cfg):
+    """The b an _EnergyLP probe at t poses, or None if no uplink powers
+    reach t: the negated energy need with its margin, then the unit AP
+    budgets (test_lp_layout checks that the probe poses exactly this)."""
+    eta = minimum_uplink_powers(t, terms)
+    if eta is None:
+        return None
+    need = (1.0 + ENERGY_MARGIN) * (cfg.tau_p * cfg.rho_p + cfg.tau_u * eta)
+    return np.concatenate([-need, np.ones(cfg.L)])
+
+
+def test_lp_layout(monkeypatch):
     cfg, stats, cache, se = _instance()
     K, L = 3, 2
-    eta = np.array([0.1, 0.2, 0.3])
     table = energy_coefficient_table(se, cfg)
-    lp = build_feasibility_lp(eta, cache, table, cfg)
-    assert lp.A.shape == (K + L, K * L)
-    # Energy rows: dE_k/dq_il = coef[k, i, l] rho_d / tr(Rhat_il), negated,
-    # against the negated need with its margin.  A does not depend on eta.
+    A = build_feasibility_lp(cache, table, cfg)
+    assert A.shape == (K + L, K * L)
+    # Energy rows: dE_k/dq_il = coef[k, i, l] rho_d / tr(Rhat_il), negated.
     for k in range(K):
-        need = cfg.tau_p * cfg.rho_p + cfg.tau_u * eta[k]
         want = table[k] * cfg.rho_d / cache.tr_rhat
-        assert np.allclose(lp.A[k], -want.ravel(), rtol=1e-14, atol=0.0)
-        assert lp.b[k] == pytest.approx(-(1.0 + ENERGY_MARGIN) * need,
-                                        rel=1e-15)
-    other = build_feasibility_lp(2.0 * eta, cache, table, cfg)
-    assert np.array_equal(other.A, lp.A)
+        assert np.allclose(A[k], -want.ravel(), rtol=1e-14, atol=0.0)
     # AP rows: unit entries on AP l's shares only, one stride L apart.
     for l in range(L):
-        row = lp.A[K + l]
+        row = A[K + l]
         assert np.all(row[l::L] == 1.0)
         mask = np.ones(K * L, dtype=bool)
         mask[l::L] = False
         assert np.all(row[mask] == 0.0)
-    assert np.all(lp.b[K:] == 1.0)
+    # Every probe poses these rows, against the negated need with its
+    # margin and the unit AP budgets; only b depends on t.
+    posed = []
 
+    def spy(lp, warm):
+        posed.append(lp)
+        return lp_feasible(lp, warm=warm)
 
-def _powers(q, cache, cfg):
-    """Budget shares q (flat, i*L + l) back to power coefficients p."""
-    return q.reshape(cache.tr_rhat.shape) * cfg.rho_d / cache.tr_rhat
+    monkeypatch.setattr(maxmin, "lp_feasible", spy)
+    energy_lp = maxmin._EnergyLP(cache, table, cfg)
+    terms = sinr_terms(np.ones((K, L), dtype=complex), se)
+    for t in (0.0, 1e-3, 2e-3):
+        eta = minimum_uplink_powers(t, terms)
+        energy_lp.probe(t, terms)
+        lp = posed[-1]
+        assert np.array_equal(lp.A, A)
+        assert lp.A is posed[0].A
+        need = cfg.tau_p * cfg.rho_p + cfg.tau_u * eta
+        assert np.allclose(lp.b[:K], -(1.0 + ENERGY_MARGIN) * need,
+                           rtol=1e-15, atol=0.0)
+        assert np.all(lp.b[K:] == 1.0)
+        assert np.array_equal(lp.b, _posed_b(t, terms, cfg))
+    assert len(posed) == 3
 
 
 def test_lp_zero_target_needs_pilot_energy():
     """At t = 0 no uplink power is needed but pilots must still be paid."""
     cfg, stats, cache, se = _instance()
-    a = np.ones((3, 2), dtype=complex)
-    eta = minimum_uplink_powers(0.0, a, se)
-    assert np.array_equal(eta, np.zeros(3))
+    terms = sinr_terms(np.ones((3, 2), dtype=complex), se)
+    assert np.array_equal(minimum_uplink_powers(0.0, terms), np.zeros(3))
     table = energy_coefficient_table(se, cfg)
-    q = lp_feasible(build_feasibility_lp(eta, cache, table, cfg))
-    assert q is not None
-    p = _powers(q, cache, cfg)
-    earned = harvested_energy(p, table)
+    alloc = maxmin._EnergyLP(cache, table, cfg).probe(0.0, terms)
+    assert alloc is not None and np.array_equal(alloc.eta, np.zeros(3))
+    earned = harvested_energy(alloc.p, table)
     assert np.all(cfg.tau_p * cfg.rho_p <= earned * (1.0 + 1e-12))
-    assert np.all(ap_transmit_powers(p, cache) <= cfg.rho_d * (1.0 + 1e-9))
+    assert np.all(ap_transmit_powers(alloc.p, cache)
+                  <= cfg.rho_d * (1.0 + 1e-9))
 
 
 def test_feasible_probe_certifies_target():
@@ -124,23 +144,23 @@ def test_feasible_probe_certifies_target():
     res = solve_maxmin(stats, cache, se, cfg, eps=1e-3)
     assert res.status == "solved" and res.t_star > 0.0
     t = 0.9 * res.t_star
-    eta = minimum_uplink_powers(t, res.weights, se)
+    terms = sinr_terms(res.weights, se)
+    eta = minimum_uplink_powers(t, terms)
     assert eta is not None
     table = energy_coefficient_table(se, cfg)
-    q = lp_feasible(build_feasibility_lp(eta, cache, table, cfg))
-    assert q is not None, "solver's own optimum must stay feasible below t_star"
-    earned = harvested_energy(_powers(q, cache, cfg), table)
+    alloc = maxmin._EnergyLP(cache, table, cfg).probe(t, terms)
+    assert alloc is not None, "solver's own optimum must stay feasible below t_star"
+    assert np.array_equal(alloc.eta, eta)
+    earned = harvested_energy(alloc.p, table)
     assert np.all(cfg.tau_u * eta + cfg.tau_p * cfg.rho_p <= earned)
     a_new = optimal_lsfd(eta, se)
-    worst = sinr(a_new, eta, se).min()
+    worst = sinr(sinr_terms(a_new, se), eta).min()
     assert worst >= t - 1e-6
 
 
 def _probe_feasible(t, a, se, cache, table, cfg):
-    eta = minimum_uplink_powers(t, a, se)
-    if eta is None:
-        return False
-    return lp_feasible(build_feasibility_lp(eta, cache, table, cfg)) is not None
+    energy_lp = maxmin._EnergyLP(cache, table, cfg)
+    return energy_lp.probe(t, sinr_terms(a, se)) is not None
 
 
 def test_single_user_feasibility_threshold():
@@ -172,7 +192,7 @@ def test_minimum_uplink_powers_solve_the_sinr_equalities():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
     t = 0.05
-    eta = minimum_uplink_powers(t, a, se)
+    eta = minimum_uplink_powers(t, sinr_terms(a, se))
     assert eta is not None and np.all(eta > 0.0)
     cross, gain, noise = _sinr_terms(a, se)
     B = np.diag((1.0 + t) * gain) - t * cross
@@ -181,17 +201,18 @@ def test_minimum_uplink_powers_solve_the_sinr_equalities():
     assert resid <= 1e-12
     # Every UE sits exactly at the target, and lowering any one power
     # drops that UE below it: no smaller eta reaches t.
-    assert np.allclose(sinr(a, eta, se), t, rtol=1e-10, atol=0.0)
+    assert np.allclose(sinr(sinr_terms(a, se), eta), t, rtol=1e-10, atol=0.0)
     for k in range(4):
         lower = eta.copy()
         lower[k] *= 1.0 - 1e-6
-        assert sinr(a, lower, se)[k] < t
+        assert sinr(sinr_terms(a, se), lower)[k] < t
 
 
 def test_minimum_uplink_powers_zero_target():
     cfg, stats, cache, se = _instance(seed=90)
     a = np.ones((3, 2), dtype=complex)
-    assert np.array_equal(minimum_uplink_powers(0.0, a, se), np.zeros(3))
+    assert np.array_equal(minimum_uplink_powers(0.0, sinr_terms(a, se)),
+                          np.zeros(3))
 
 
 def test_minimum_uplink_powers_none_above_single_user_bound():
@@ -202,17 +223,18 @@ def test_minimum_uplink_powers_none_above_single_user_bound():
     cross, gain, noise = _sinr_terms(a, se)
     limit = gain[0] / (cross[0, 0] - gain[0])
     assert np.isfinite(limit) and limit > 0.0
-    below = minimum_uplink_powers(0.99 * limit, a, se)
+    below = minimum_uplink_powers(0.99 * limit, sinr_terms(a, se))
     assert below is not None
-    assert sinr(a, below, se)[0] == pytest.approx(0.99 * limit, rel=1e-10)
-    assert minimum_uplink_powers(1.01 * limit, a, se) is None
+    assert sinr(sinr_terms(a, se), below)[0] == pytest.approx(0.99 * limit,
+                                                              rel=1e-10)
+    assert minimum_uplink_powers(1.01 * limit, sinr_terms(a, se)) is None
 
 
 def test_optimal_lsfd_zero_power_reduces_to_noise_whitening():
     cfg, stats, cache, se = _instance(seed=74)
     a = optimal_lsfd(np.zeros(3), se)
     assert np.allclose(a, se.b / se.D, atol=1e-12)
-    assert np.all(sinr(a, np.zeros(3), se) == 0.0)
+    assert np.all(sinr(sinr_terms(a, se), np.zeros(3)) == 0.0)
 
 
 def _lsfd_residual(a, eta, se):
@@ -273,8 +295,8 @@ def test_optimal_lsfd_matches_rank_one_deflated_form():
         assert lhs == pytest.approx(rhs, rel=1e-8)
         a_alt = a.copy()
         a_alt[k] = alt
-        assert sinr(a_alt, eta, se)[k] == pytest.approx(
-            sinr(a, eta, se)[k], rel=1e-9)
+        assert sinr(sinr_terms(a_alt, se), eta)[k] == pytest.approx(
+            sinr(sinr_terms(a, se), eta)[k], rel=1e-9)
 
 
 def test_optimal_lsfd_dominates_random_weights():
@@ -282,11 +304,11 @@ def test_optimal_lsfd_dominates_random_weights():
     rng = np.random.default_rng(1)
     eta = rng.uniform(0.1, 1.0, size=3)
     a = optimal_lsfd(eta, se)
-    best = sinr(a, eta, se)[1]
+    best = sinr(sinr_terms(a, se), eta)[1]
     for _ in range(500):
         trial = a.copy()
         trial[1] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        assert sinr(trial, eta, se)[1] <= best * (1.0 + 1e-9)
+        assert sinr(sinr_terms(trial, se), eta)[1] <= best * (1.0 + 1e-9)
 
 
 def test_optimal_lsfd_stationarity():
@@ -294,14 +316,14 @@ def test_optimal_lsfd_stationarity():
     rng = np.random.default_rng(2)
     eta = rng.uniform(0.1, 1.0, size=3)
     a = optimal_lsfd(eta, se)
-    base = sinr(a, eta, se)[2]
+    base = sinr(sinr_terms(a, se), eta)[2]
     norm = np.linalg.norm(a[2])
     for _ in range(50):
         delta = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         delta *= 1e-3 * norm / np.linalg.norm(delta)
         trial = a.copy()
         trial[2] = a[2] + delta
-        assert sinr(trial, eta, se)[2] <= base * (1.0 + 1e-5)
+        assert sinr(sinr_terms(trial, se), eta)[2] <= base * (1.0 + 1e-5)
 
 
 def test_upper_bound_zero_when_pilot_unaffordable():
@@ -383,8 +405,8 @@ def test_solver_certificates_and_trace():
     assert np.all(spent <= earned + 1e-9 * np.maximum(earned, 1.0))
     # Weights are the optimal ones for the returned powers.
     redo = optimal_lsfd(res.allocation.eta, se)
-    assert np.allclose(sinr(redo, res.allocation.eta, se), res.per_ue_sinr,
-                       rtol=1e-9, atol=0.0)
+    assert np.allclose(sinr(sinr_terms(redo, se), res.allocation.eta),
+                       res.per_ue_sinr, rtol=1e-9, atol=0.0)
 
 
 def test_solver_beats_fixed_baseline():
@@ -403,10 +425,12 @@ def test_solver_wide_eps_falls_back_to_zero_probe():
     assert res.t_star >= 0.0
 
 
-def test_solver_iteration_cap():
+def test_solver_iteration_cap(monkeypatch):
     cfg, stats, cache, se = _instance(seed=84)
-    res = solve_maxmin(stats, cache, se, cfg, eps=1e-12, max_iters=1)
+    monkeypatch.setattr(maxmin, "MAX_PROBES", 1)
+    res = solve_maxmin(stats, cache, se, cfg, eps=1e-12)
     assert res.cap_hit is True
+    assert sum(t > 0.0 for t, _, _ in res.trace) == 1
     assert res.status == "solved"
     assert res.t_star >= 0.0
 
@@ -478,19 +502,23 @@ def _criterion_8_many_small_aps_drop_6():
     return cfg, 1e-4, build_drop(cfg, PropagationModel(), rng)
 
 
-def _spy_shares(monkeypatch):
-    """Record every _EnergyLP.shares call as (energy_lp, b, settled by a
-    cut, cuts stored before the call, shares returned)."""
+def _spy_probes(monkeypatch):
+    """Record every _EnergyLP.probe call that reaches t with some uplink
+    powers as (energy_lp, b posed, settled by a cut, cuts stored before
+    the call, whether its LP verdict made a cut)."""
     calls = []
-    shares = maxmin._EnergyLP.shares
+    probe = maxmin._EnergyLP.probe
 
-    def spy(self, b):
+    def spy(self, t, terms):
         lp_calls, cuts = self.lp_calls, len(self.cuts)
-        q = shares(self, b)
-        calls.append((self, b.copy(), self.lp_calls == lp_calls, cuts, q))
-        return q
+        alloc = probe(self, t, terms)
+        b = _posed_b(t, terms, self.cfg)
+        if b is not None:
+            calls.append((self, b, self.lp_calls == lp_calls, cuts,
+                          len(self.cuts) > cuts))
+        return alloc
 
-    monkeypatch.setattr(maxmin._EnergyLP, "shares", spy)
+    monkeypatch.setattr(maxmin._EnergyLP, "probe", spy)
     return calls
 
 
@@ -506,13 +534,13 @@ def test_warm_verdicts_match_cold_solves(make, monkeypatch):
     cfg, eps, (stats, cache, se) = make()
     posed = []
 
-    def spy(lp, **kwargs):
-        x = lp_feasible(lp, **kwargs)
+    def spy(lp, warm):
+        x = lp_feasible(lp, warm=warm)
         posed.append((lp, x is not None))
         return x
 
     monkeypatch.setattr(maxmin, "lp_feasible", spy)
-    calls = _spy_shares(monkeypatch)
+    calls = _spy_probes(monkeypatch)
     res = solve_maxmin(stats, cache, se, cfg, eps=eps)
     assert res.status == "solved" and len(res.trace) > 20
     assert res.lp_calls == len(posed)
@@ -547,23 +575,22 @@ def test_energy_cuts_are_exact(monkeypatch):
     arithmetic as well."""
     cfg = ScenarioConfig(L=3, K=3, N=4, tau_p=2, tau_d=25, tau_u=173,
                          rho_d=1.0)
-    calls = _spy_shares(monkeypatch)
+    calls = _spy_probes(monkeypatch)
     for i in range(20):
         rng = np.random.default_rng(np.random.SeedSequence(2718,
                                                            spawn_key=(i,)))
         stats, cache, se = build_drop(cfg, PropagationModel(), rng)
         solve_maxmin(stats, cache, se, cfg, eps=1e-4)
     settled = 0
-    for energy_lp, b, by_cut, before, q in calls:
+    for energy_lp, b, by_cut, before, made_cut in calls:
         need = -b[:cfg.K]
         if not by_cut:
-            if q is None:
+            if made_cut:
                 y, h = energy_lp.cuts[before]
                 assert y @ need > (1.0 + CUT_RTOL) * h
                 assert _exact_cut_excess(y, need, energy_lp.energy) > 0
             continue
         settled += 1
-        assert q is None
         fired = [y for y, h in energy_lp.cuts[:before]
                  if y @ need > (1.0 + CUT_RTOL) * h]
         assert fired
@@ -575,9 +602,46 @@ def test_energy_cuts_are_exact(monkeypatch):
 
 def test_non_finite_certificate_fails_loudly(monkeypatch):
     cfg, stats, cache, se = _instance(seed=92)
-    monkeypatch.setattr(maxmin, "sinr", lambda a, eta, se: np.full(3, np.nan))
+    monkeypatch.setattr(maxmin, "sinr", lambda terms, eta: np.full(3, np.nan))
     with pytest.raises(ValueError, match="not finite"):
         solve_maxmin(stats, cache, se, cfg)
+    with pytest.raises(ValueError, match="not finite"):
+        fpc_baseline(stats, cache, se, cfg)
+
+
+def _reference_seed_2_drop_6():
+    cfg, prop = load_config(CONFIGS / "reference.cfg")
+    return cfg, build_drop(cfg, prop, _setup_rng(2, 6)[0])
+
+
+def test_reference_seed_2_drop_6_is_solved():
+    """Setup 6 of configs/reference.cfg at seed 2 once ended in
+    SimplexIterationError: see the first-probe test below."""
+    cfg, (stats, cache, se) = _reference_seed_2_drop_6()
+    res = solve_maxmin(stats, cache, se, cfg)
+    assert res.status == "solved" and not res.cap_hit
+    ap, energy = _budget_shortfall(res, cache, se, cfg)
+    assert ap <= 1e-12 and energy <= 1e-12
+
+
+def test_reference_seed_2_drop_6_first_probe_is_certified():
+    """The drop's first probe (t = t_max / 2, uniform weights) is a cold
+    LP of 36 rows and 320 variables.  A pivot on an entry of 1.6e-10 of
+    its row of B^-1, drift rather than a true entry, once left a
+    singular basis; confirming it fell back to the slack basis and the
+    same pivots replayed up to the pivot cap.  Now the verdict is
+    infeasible and warm.farkas is a Farkas certificate, up to rounding
+    of 1e-12 relative to the sums in y A."""
+    cfg, (stats, cache, se) = _reference_seed_2_drop_6()
+    energy_lp = maxmin._EnergyLP(cache, energy_coefficient_table(se, cfg), cfg)
+    terms = sinr_terms(np.ones((cfg.K, cfg.L), dtype=complex), se)
+    t = 0.5 * upper_bound_tmax(se, cache, stats, cfg)
+    assert energy_lp.probe(t, terms) is None and energy_lp.lp_calls == 1
+    y, A, b = energy_lp.warm.farkas, energy_lp.A, _posed_b(t, terms, cfg)
+    assert A.shape == (36, 320)
+    assert np.all(y >= 0.0)
+    assert np.all(y @ A >= -1e-12 * (y @ np.abs(A)))
+    assert y @ b < 0.0
 
 
 def test_large_network_drop_is_solved():

@@ -6,7 +6,7 @@ import pytest
 from cfwpt.channel import MC_BATCH, draw_estimates, mean_and_stderr
 from cfwpt.estimation import build_cache
 from cfwpt.wit import (SEStatistics, lsfd_statistics, se_statistics_oracle, sinr,
-                       spectral_efficiency)
+                       sinr_terms, spectral_efficiency)
 
 from test_estimation import _scalar_setup
 from helpers import (
@@ -98,8 +98,8 @@ def test_sinr_scale_invariant_in_weights():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((cfg.K, cfg.L)) + 1j * rng.standard_normal((cfg.K, cfg.L))
     eta = rng.uniform(0.1, 1.0, size=cfg.K)
-    base = sinr(a, eta, se)
-    scaled = sinr(a * (3.0 - 4.0j), eta, se)
+    base = sinr(sinr_terms(a, se), eta)
+    scaled = sinr(sinr_terms(a * (3.0 - 4.0j), se), eta)
     assert base.shape == (cfg.K,)
     assert np.allclose(scaled, base, rtol=1e-12, atol=0.0)
     assert np.all(base > 0.0)
@@ -111,7 +111,7 @@ def test_sinr_matches_per_ue_quadratic_forms():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((cfg.K, cfg.L)) + 1j * rng.standard_normal((cfg.K, cfg.L))
     eta = rng.uniform(0.1, 1.0, size=cfg.K)
-    got = sinr(a, eta, se)
+    got = sinr(sinr_terms(a, se), eta)
     for k in range(cfg.K):
         interference = sum(eta[m] * se.C[k, m] for m in range(cfg.K))
         signal = eta[k] * abs(np.vdot(a[k], se.b[k])) ** 2
@@ -125,7 +125,7 @@ def test_sinr_zero_power():
     a = np.ones((cfg.K, cfg.L), dtype=complex)
     eta = np.ones(cfg.K)
     eta[1] = 0.0
-    assert sinr(a, eta, se)[1] == 0.0
+    assert sinr(sinr_terms(a, se), eta)[1] == 0.0
 
 
 def test_sinr_rejects_nonpositive_denominator():
@@ -134,7 +134,7 @@ def test_sinr_rejects_nonpositive_denominator():
                        D=0.0 * se.D)
     a = np.ones((cfg.K, cfg.L), dtype=complex)
     with pytest.raises(ValueError, match="denominator"):
-        sinr(a, np.ones(cfg.K), bad)
+        sinr(sinr_terms(a, bad), np.ones(cfg.K))
 
 
 def test_spectral_efficiency_prelog():
