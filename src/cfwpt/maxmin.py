@@ -60,19 +60,22 @@ class MaxMinResult:
     lp_calls: int = 0
 
 
-def _result(best, cfg, **path):
+def _result(best, cfg, trace=(), bracket=(0.0, 0.0), cap_hit=False,
+            lp_pivots=0, lp_calls=0):
     """The outcome at best, a certified (alloc, weights, SINRs, t*,
-    terms) from _certify; path holds the solver's fields.  With best
-    None, infeasible_at_zero and all-zero powers."""
+    terms) from _certify, with the solver's path.  With best None,
+    infeasible_at_zero and all-zero powers."""
+    status = "solved" if best is not None else "infeasible_at_zero"
     if best is None:
-        path["status"] = "infeasible_at_zero"
         zero = PowerAllocation(p=np.zeros((cfg.K, cfg.L)), eta=np.zeros(cfg.K))
         best = (zero, np.ones((cfg.K, cfg.L), dtype=complex), np.zeros(cfg.K),
                 0.0, None)
     alloc, weights, sinr_k, t_star, _ = best
     return MaxMinResult(
         t_star=t_star, allocation=alloc, weights=weights, per_ue_sinr=sinr_k,
-        per_ue_se=spectral_efficiency(sinr_k, cfg), **path)
+        per_ue_se=spectral_efficiency(sinr_k, cfg), trace=trace, status=status,
+        cap_hit=cap_hit, bracket=bracket, lp_pivots=lp_pivots,
+        lp_calls=lp_calls)
 
 
 def minimum_uplink_powers(t, terms):
@@ -259,9 +262,8 @@ def solve_maxmin(stats, cache, se, cfg, eps=1e-2):
     terms = sinr_terms(np.ones_like(se.b, dtype=complex), se)
     trace = []
 
-    t_min = 0.0
-    t_max = upper_bound_tmax(se, cache, stats, cfg)
-    best = None
+    t_min, t_max = 0.0, upper_bound_tmax(se, cache, stats, cfg)
+    best = t_best = None
     while t_max - t_min > eps and len(trace) < MAX_PROBES:
         t = 0.5 * (t_min + t_max)
         alloc = energy_lp.probe(t, terms)
@@ -270,24 +272,24 @@ def solve_maxmin(stats, cache, se, cfg, eps=1e-2):
             t_max = t
             continue
         cert = _certify(alloc, se)
-        t_star, terms = cert[3], cert[4]
-        if best is None or t_star > best[3]:
-            best = cert
-        trace.append((t, True, best[3]))
+        *_, t_star, terms = cert
+        if best is None or t_star > t_best:
+            best, t_best = cert, t_star
+        trace.append((t, True, t_best))
         if t_star > t_min + 1e-9 * max(1.0, t_min):
-            t_min = t_star
-            t_max = 2.0 * t_star
+            t_min, t_max = t_star, 2.0 * t_star
         else:
-            t_min = max(t_min, t_star)
-            t_max = t
+            t_min, t_max = max(t_min, t_star), t
 
     if best is None and t_max > 0.0:
         # Bracket collapsed without one certified point; a plain
         # feasibility check at t = 0 settles solvability.  t_max = 0
         # already says that some UE cannot pay its pilot.
         alloc = energy_lp.probe(0.0, terms)
-        best = None if alloc is None else _certify(alloc, se)
-        trace.append((0.0, best is not None, best[3] if best else None))
+        if alloc is not None:
+            best = _certify(alloc, se)
+            *_, t_best, _ = best
+        trace.append((0.0, best is not None, t_best))
 
     # The loop ends with the bracket open only at the iteration guard.
     return _result(best, cfg, trace=tuple(trace), bracket=(t_min, t_max),

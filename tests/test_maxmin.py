@@ -505,7 +505,7 @@ def _criterion_8_many_small_aps_drop_6():
 def _spy_probes(monkeypatch):
     """Record every _EnergyLP.probe call that reaches t with some uplink
     powers as (energy_lp, b posed, settled by a cut, cuts stored before
-    the call, whether its LP verdict made a cut)."""
+    the call, whether its LP verdict made a cut, allocation returned)."""
     calls = []
     probe = maxmin._EnergyLP.probe
 
@@ -515,7 +515,7 @@ def _spy_probes(monkeypatch):
         b = _posed_b(t, terms, self.cfg)
         if b is not None:
             calls.append((self, b, self.lp_calls == lp_calls, cuts,
-                          len(self.cuts) > cuts))
+                          len(self.cuts) > cuts, alloc))
         return alloc
 
     monkeypatch.setattr(maxmin._EnergyLP, "probe", spy)
@@ -550,7 +550,7 @@ def test_warm_verdicts_match_cold_solves(make, monkeypatch):
         assert (lp_feasible(lp, warm=cold) is not None) == warm_verdict
         cold_pivots += cold.pivots
     assert res.lp_pivots < cold_pivots / 2
-    settled = [LPProblem(A=e.A, b=b) for e, b, by_cut, _, _ in calls if by_cut]
+    settled = [LPProblem(A=e.A, b=b) for e, b, by_cut, *_ in calls if by_cut]
     assert settled
     for lp in settled:
         assert lp_feasible(lp, warm=WarmStart()) is None
@@ -570,9 +570,9 @@ def _exact_cut_excess(y, need, energy):
 
 def test_energy_cuts_are_exact(monkeypatch):
     """On 20 small random drops, each cut rules out the probe whose LP
-    verdict made it, and each probe a cut settles is infeasible by the
-    exact rational oracle, every cut that fired holding in exact
-    arithmetic as well."""
+    verdict made it, and each probe a cut settles returns no allocation
+    and is infeasible by the exact rational oracle, every cut that fired
+    holding in exact arithmetic as well."""
     cfg = ScenarioConfig(L=3, K=3, N=4, tau_p=2, tau_d=25, tau_u=173,
                          rho_d=1.0)
     calls = _spy_probes(monkeypatch)
@@ -582,15 +582,17 @@ def test_energy_cuts_are_exact(monkeypatch):
         stats, cache, se = build_drop(cfg, PropagationModel(), rng)
         solve_maxmin(stats, cache, se, cfg, eps=1e-4)
     settled = 0
-    for energy_lp, b, by_cut, before, made_cut in calls:
+    for energy_lp, b, by_cut, before, made_cut, alloc in calls:
         need = -b[:cfg.K]
         if not by_cut:
             if made_cut:
+                assert alloc is None
                 y, h = energy_lp.cuts[before]
                 assert y @ need > (1.0 + CUT_RTOL) * h
                 assert _exact_cut_excess(y, need, energy_lp.energy) > 0
             continue
         settled += 1
+        assert alloc is None
         fired = [y for y, h in energy_lp.cuts[:before]
                  if y @ need > (1.0 + CUT_RTOL) * h]
         assert fired
