@@ -11,16 +11,16 @@ factorization of its own basis, which raises if that basis is singular,
 since the updates drift on ill-conditioned bases.  The confirmed row is
 handed out in A's own row units (WarmStart.farkas).
 
-A WarmStart carries the final basis to the next call on the same A (the
-bisection probes of one drop differ in b only), which then needs a few
-pivots; a singular or ill-conditioned carried basis gives way to the
-all-slack basis.  Every pivot is priced by one rule: the leaving row by
-dual steepest edge, the entering column as that row's most negative
-entry.  A basic variable counts as feasible down to a tolerance scaled
-by its row of B^-1 and the largest |b|, so a degenerate variable that
-rounding in B^-1 puts a little below zero does not count as infeasible.
-A cap of PIVOT_CAP_FACTOR * (10 + 2m + n) pivots on m rows and n
-variables bounds each call.
+A WarmStart carries the final basis and its fresh B^-1 to the next call
+on the same A (the bisection probes differ in b only), which then needs
+a few pivots and no factorization; a singular or ill-conditioned basis
+gives way to the all-slack basis.  Every pivot is priced by one rule:
+the leaving row by dual steepest edge, the entering column as that
+row's most negative entry.  A basic variable counts as feasible down to
+a tolerance scaled by its row of B^-1 and the largest |b|, so a
+degenerate variable that rounding in B^-1 puts a little below zero does
+not count as infeasible.  A cap of PIVOT_CAP_FACTOR * (10 + 2m + n)
+pivots on m rows and n variables bounds each call.
 
 The raw data spans many orders of magnitude (power coefficients around
 1e7 against harvested energies around 1e-7), so the rows and columns of
@@ -56,13 +56,15 @@ class WarmStart:
     in A's row units: y >= 0, y A >= 0 and y b < 0 up to rounding (None
     after a feasible one).  pivots counts pivots over all calls.  It
     also keeps the equilibration of the last A it saw, matched by
-    identity: pass a new array, not one changed in place.
+    identity: pass a new array, not one changed in place, and the B^-1
+    the last call factored, for that A and basis only.
     """
 
     basis: np.ndarray | None = None
     farkas: np.ndarray | None = None
     pivots: int = 0
-    _scaled: tuple | None = field(default=None, repr=False)  # (A, ...)
+    _scaled: tuple | None = field(default=None, repr=False)  # (A, M, M^T, ..)
+    _inverse: tuple | None = field(default=None, repr=False)  # (A, basis, Binv)
 
 
 # Tolerances in equilibrated units: a basic variable counts as feasible
@@ -78,28 +80,29 @@ PIVOT_CAP_FACTOR = 50
 
 
 def _equilibrate(A):
-    """([A' I], row_scale, col_scale): A scaled to unit max entries, rows
-    first.  Row scaling keeps the feasible set; column scaling
-    substitutes x' = col_scale * x."""
+    """(M, M^T, row_scale, col_scale): M = [A' I] with A' = A scaled to
+    unit max entries, rows first, and M^T a C-ordered copy.  Row scaling
+    keeps the feasible set; column scaling substitutes x' = col_scale x."""
     row_scale = np.max(np.abs(A), axis=1, initial=0.0)
     row_scale[row_scale == 0.0] = 1.0
     A = A / row_scale[:, None]
     col_scale = np.max(np.abs(A), axis=0, initial=0.0)
     col_scale[col_scale == 0.0] = 1.0
-    return np.hstack([A / col_scale, np.eye(A.shape[0])]), row_scale, col_scale
+    M = np.hstack([A / col_scale, np.eye(A.shape[0])])
+    return M, np.ascontiguousarray(M.T), row_scale, col_scale
 
 
-def _factor(M, basis):
-    """(basis, B^-1) for a carried basis, or the all-slack basis and
-    identity if basis is missing, unusable or singular, or B^-1 has an
-    entry above MAX_INVERSE."""
-    if basis is not None:
+def _factor(M, basis, Binv=None):
+    """(basis, B^-1) for a carried basis, factored unless Binv is given,
+    or the all-slack basis and identity if basis is missing, unusable or
+    singular, or B^-1 has an entry above MAX_INVERSE."""
+    if basis is not None and Binv is None:
         try:
             Binv = np.linalg.inv(M[:, basis])
         except (IndexError, np.linalg.LinAlgError):
-            Binv = None
-        if Binv is not None and np.abs(Binv).max() <= MAX_INVERSE:
-            return basis.copy(), Binv
+            pass
+    if Binv is not None and np.abs(Binv).max() <= MAX_INVERSE:
+        return basis.copy(), Binv
     m, cols = M.shape
     return cols - m + np.arange(m), np.eye(m)
 
@@ -118,11 +121,16 @@ def lp_feasible(lp, warm=None):
     if np.all(b >= 0.0):
         return np.zeros(n)
 
+    # Taken out first, so that a call that raises leaves no half-updated B^-1.
+    owner, factored, Binv = warm._inverse or (None, None, None)
+    warm._inverse = None
+    if owner is not lp.A or not np.array_equal(factored, warm.basis):
+        Binv = None
     if warm._scaled is None or warm._scaled[0] is not lp.A:
         warm._scaled = (lp.A, *_equilibrate(np.asarray(lp.A, dtype=float)))
-    _, M, row_scale, col_scale = warm._scaled
+    _, M, MT, row_scale, col_scale = warm._scaled
     b = b / row_scale
-    basis, Binv = _factor(M, warm.basis)
+    basis, Binv = _factor(M, warm.basis, Binv)
     beta = Binv @ b             # basic variable values
     fresh = True                # no update to Binv since it was factored
     work = np.empty((m, m))
@@ -132,12 +140,13 @@ def lp_feasible(lp, warm=None):
     pivots = 0
     while True:
         row_norm = np.abs(Binv).sum(axis=1)
-        rows = np.flatnonzero(beta < -TOL_FEASIBLE * b_max * row_norm)
+        rows = (beta < -TOL_FEASIBLE * b_max * row_norm).nonzero()[0]
         if rows.size:
-            weight = np.einsum("ij,ij->i", Binv[rows], Binv[rows])
+            B_rows = Binv[rows]
+            weight = np.einsum("ij,ij->i", B_rows, B_rows)
             leave = rows[np.argmax(beta[rows] ** 2 / weight)]
             alpha = Binv[leave] @ M
-            cols = np.flatnonzero(alpha < -TOL_PIV * row_norm[leave])
+            cols = (alpha < -TOL_PIV * row_norm[leave]).nonzero()[0]
         if rows.size == 0 or cols.size == 0:
             if fresh:
                 break
@@ -148,7 +157,7 @@ def lp_feasible(lp, warm=None):
             raise SimplexIterationError(f"no convergence in {max_iter} pivots")
         enter = cols[np.argmin(alpha[cols])]
 
-        col = Binv @ M[:, enter]
+        col = Binv @ MT[enter]
         Binv[leave] /= col[leave]
         beta[leave] /= col[leave]
         col[leave] = 0.0
@@ -160,6 +169,7 @@ def lp_feasible(lp, warm=None):
         fresh = False
 
     warm.basis = basis
+    warm._inverse = (lp.A, basis.copy(), Binv)
     warm.pivots += pivots
     if rows.size:
         warm.farkas = Binv[leave] / row_scale

@@ -6,18 +6,19 @@ fusion weights (fixed powers), bracketing the best worst-case SINR t by
 bisection with bracket doubling after every certified step.
 
 With the weights fixed, the least uplink powers that reach t come from
-one linear solve (minimum_uplink_powers), so the LP only asks whether
-the APs can deliver the energy those powers need; one _EnergyLP per
-solve poses it.  Most probes are settled before the LP runs.  Each
-infeasible verdict leaves a Farkas row y (WarmStart.farkas) whose
-energy entries, clipped to y >= 0, make a cut: with g = sum_k y_k E_k
-over the per-share energy rows E, every budget split q >= 0 with
-sum_i q_il <= 1 has y . E q = sum_il g_il q_il <= h(y) = sum_l max(0,
-max_i g_il).  So a need (margin included) with y . need > h(y) is
-infeasible, an exact proof without LP tolerance that holds whatever the
-weights, and its probe makes no LP call.  LP variable layout, relied on
-by tests: x = q, AP l's budget share spent on UE i, flattened row-major
-so q_il sits at index i*L + l.
+a linear solve, so the LP only asks whether the APs can deliver the
+energy those powers need.  One _EnergyLP per solve poses it, in one run
+per weight vector: one stacked solve (minimum_uplink_powers) gives the
+needs of the targets the bisection would try, and cuts settle most
+before the LP runs.  Each infeasible verdict leaves a Farkas row y
+(WarmStart.farkas) whose energy entries, clipped to y >= 0, make a cut:
+with g = sum_k y_k E_k over the per-share energy rows E, every budget
+split q >= 0 with sum_i q_il <= 1 has y . E q = sum_il g_il q_il <=
+h(y) = sum_l max(0, max_i g_il).  So a need (margin included) with
+y . need > h(y) is infeasible, an exact proof without LP tolerance that
+holds whatever the weights, and its probe makes no LP call.  LP
+variable layout, relied on by tests: x = q, AP l's budget share spent
+on UE i, flattened row-major so q_il sits at index i*L + l.
 """
 
 from __future__ import annotations
@@ -78,8 +79,9 @@ def _result(best, cfg, trace=(), bracket=(0.0, 0.0), cap_hit=False,
         lp_calls=lp_calls)
 
 
-def minimum_uplink_powers(t, terms):
-    """Least uplink powers eta that give every UE an SINR of at least t.
+def minimum_uplink_powers(ts, terms):
+    """Least uplink powers eta that give every UE an SINR of at least t,
+    for each target t in ts: one (K,) eta per t, or None where none does.
 
     terms = (gain, cross, noise) are the sinr_terms of the weights.
     SINR_k >= t reads B eta >= t noise, where B = diag((1 + t) gain) -
@@ -87,18 +89,24 @@ def minimum_uplink_powers(t, terms):
     positive solution of B eta = t noise (noise > 0) makes B a
     nonsingular M-matrix, whose inverse is entrywise non-negative, so
     that eta is the least one reaching t (Yates' standard interference
-    functions).  Otherwise no eta >= 0 reaches t, and None is returned.
+    functions).  Otherwise no eta >= 0 reaches t.  One stacked solve
+    gives each t the bits of its own solve; if a singular B fails the
+    stack, each t is solved alone.
     """
     gain, cross, noise = terms
-    if t == 0.0:
-        return np.zeros_like(gain)
-    B = -t * cross
-    B[np.diag_indices_from(B)] += (1.0 + t) * gain
+    ts = np.asarray(ts, dtype=float)
+    B = -ts[:, None, None] * cross
+    idx = np.arange(gain.size)
+    B[:, idx, idx] += (1.0 + ts)[:, None] * gain
     try:
-        eta = np.linalg.solve(B, t * noise)
+        eta = np.linalg.solve(B, (ts[:, None] * noise)[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        return None
-    return eta if np.all(eta > 0.0) else None
+        if ts.size > 1:
+            return [e for t in ts for e in minimum_uplink_powers([t], terms)]
+        eta = np.full((1, gain.size), np.nan)
+    ok = np.all(eta > 0.0, axis=1)
+    return [np.zeros_like(gain) if t == 0.0 else e if good else None
+            for t, e, good in zip(ts, eta, ok)]
 
 
 # Relative margin on the energy rows.  Without it the phase-I vertex sits
@@ -129,51 +137,62 @@ CUT_RTOL = 1e-12
 
 
 class _EnergyLP:
-    """One solve's feasibility probe: the LP rows, laid out once, the
-    carried simplex basis, the energy cuts (y, h(y)), one per infeasible
-    LP verdict (module docstring), and the count of LP calls."""
+    """One solve's feasibility probes: the LP rows, laid out once, the
+    carried simplex basis, the energy cuts, one row y of cut_y and bound
+    h(y) in cut_h per infeasible LP verdict (module docstring), and the
+    count of LP calls."""
 
     def __init__(self, cache, coef, cfg):
         self.coef, self.cfg = coef, cfg
         self.scale = cfg.rho_d / cache.tr_rhat      # q_il -> p_il
         self.A = build_feasibility_lp(cache, coef, cfg)
         self.energy = -self.A[:cfg.K]                # E_k q, UE k's harvest
-        self.warm, self.cuts, self.lp_calls = WarmStart(), [], 0
+        self.cut_y, self.cut_h = np.empty((0, cfg.K)), np.empty(0)
+        self.warm, self.lp_calls = WarmStart(), 0
 
-    def probe(self, t, terms):
-        """A power allocation that can pay for SINR t, or None.
+    def run(self, ts, terms):
+        """(i, alloc): the first target ts[i] the APs can pay for under
+        the weights whose sinr_terms are terms, with a power allocation
+        that does, or (len(ts), None) if they can pay for none.
 
-        terms are sinr_terms of the current weights.  The least uplink
-        powers that reach t fix each UE's energy need, margin included;
-        a cut or the LP settles whether the APs can deliver it.  The LP
-        point is mapped back to powers with every AP budget clipped to
-        at most rho_d, and the energy is re-evaluated in float: eta is
-        capped at what the harvest covers after the pilot, and the probe
-        fails if some UE cannot even pay for its pilot.  So the returned
-        allocation meets both budgets by construction.
+        The least uplink powers reaching each t fix the UEs' energy
+        needs, margin included.  The cuts test them all at once, the LP
+        the first one left open, and each new cut the needs after
+        it.  The LP point is mapped back to powers with every AP budget
+        clipped to at most rho_d, and the energy is re-evaluated in
+        float: eta is capped at what the harvest covers after the pilot,
+        and the probe fails if some UE cannot even pay for its pilot.  So
+        the returned allocation meets both budgets by construction.
         """
-        eta = minimum_uplink_powers(t, terms)
-        if eta is None:
-            return None
         cfg = self.cfg
         pilot = cfg.tau_p * cfg.rho_p
+        etas = minimum_uplink_powers(ts, terms)
+        reach = [i for i, eta in enumerate(etas) if eta is not None]
+        eta = np.reshape([etas[i] for i in reach], (-1, cfg.K))
         need = (1.0 + ENERGY_MARGIN) * (pilot + cfg.tau_u * eta)
-        if any(y @ need > (1.0 + CUT_RTOL) * h for y, h in self.cuts):
-            return None
-        self.lp_calls += 1
-        b = np.concatenate([-need, np.ones(cfg.L)])
-        q = lp_feasible(LPProblem(A=self.A, b=b), warm=self.warm)
-        if q is None:
-            y = np.maximum(self.warm.farkas[:cfg.K], 0.0)
-            g = (y @ self.energy).reshape(cfg.K, -1).max(axis=0)
-            self.cuts.append((y, np.maximum(g, 0.0).sum()))
-            return None
-        q = q.reshape(self.scale.shape)
-        p = q / np.maximum(1.0, q.sum(axis=0)) * self.scale
-        spare = harvested_energy(p, self.coef) - pilot
-        if np.any(spare < 0.0):
-            return None
-        return PowerAllocation(p=p, eta=np.minimum(eta, spare / cfg.tau_u))
+        cut = need @ self.cut_y.T > (1.0 + CUT_RTOL) * self.cut_h
+        unsettled = ~cut.any(axis=1)
+        for j, i in enumerate(reach):
+            if not unsettled[j]:
+                continue
+            self.lp_calls += 1
+            b = np.concatenate([-need[j], np.ones(cfg.L)])
+            q = lp_feasible(LPProblem(A=self.A, b=b), warm=self.warm)
+            if q is None:
+                y = np.maximum(self.warm.farkas[:cfg.K], 0.0)
+                g = (y @ self.energy).reshape(cfg.K, -1).max(axis=0)
+                h = np.maximum(g, 0.0).sum()
+                self.cut_y = np.vstack([self.cut_y, y])
+                self.cut_h = np.append(self.cut_h, h)
+                unsettled[j + 1:] &= need[j + 1:] @ y <= (1.0 + CUT_RTOL) * h
+                continue
+            q = q.reshape(self.scale.shape)
+            p = q / np.maximum(1.0, q.sum(axis=0)) * self.scale
+            spare = harvested_energy(p, self.coef) - pilot
+            if not np.any(spare < 0.0):
+                eta = np.minimum(etas[i], spare / cfg.tau_u)
+                return i, PowerAllocation(p=p, eta=eta)
+        return len(ts), None
 
 
 def optimal_lsfd(eta, se):
@@ -193,13 +212,13 @@ def _decoding_weights(w, se):
     checks that they are positive definite, then one stacked solve gives
     the weights.
     """
-    M = (w[..., None] * se.u).swapaxes(1, 2) @ se.u.conj()
+    M = (w[..., None] * se.u).swapaxes(1, 2) @ se.u_conj
     idx = np.arange(se.D.shape[1])
-    M[:, idx, idx] += (w[:, None, :] @ (se.second - np.abs(se.u) ** 2))[:, 0] + se.D
+    M[:, idx, idx] += (w[:, None, :] @ se.same_ap)[:, 0] + se.D
     np.linalg.cholesky(M)
     # The explicit trailing axis keeps b a stack of vectors under both
     # numpy 1.x and 2.x broadcasting rules.
-    return np.linalg.solve(M, se.b[..., None] + 0j)[..., 0]
+    return np.linalg.solve(M, se.b_complex[..., None])[..., 0]
 
 
 def upper_bound_tmax(se, cache, stats, cfg):
@@ -265,12 +284,16 @@ def solve_maxmin(stats, cache, se, cfg, eps=1e-2):
     t_min, t_max = 0.0, upper_bound_tmax(se, cache, stats, cfg)
     best = t_best = None
     while t_max - t_min > eps and len(trace) < MAX_PROBES:
-        t = 0.5 * (t_min + t_max)
-        alloc = energy_lp.probe(t, terms)
+        # The targets the bisection tries, up to its first feasible one.
+        ts = [0.5 * (t_min + t_max)]
+        while ts[-1] - t_min > eps and len(trace) + len(ts) < MAX_PROBES:
+            ts.append(0.5 * (t_min + ts[-1]))
+        i, alloc = energy_lp.run(ts, terms)
+        trace += [(t, False, None) for t in ts[:i]]
         if alloc is None:
-            trace.append((t, False, None))
-            t_max = t
+            t_max = ts[-1]
             continue
+        t = ts[i]
         cert = _certify(alloc, se)
         *_, t_star, terms = cert
         if best is None or t_star > t_best:
@@ -285,7 +308,7 @@ def solve_maxmin(stats, cache, se, cfg, eps=1e-2):
         # Bracket collapsed without one certified point; a plain
         # feasibility check at t = 0 settles solvability.  t_max = 0
         # already says that some UE cannot pay its pilot.
-        alloc = energy_lp.probe(0.0, terms)
+        _, alloc = energy_lp.run([0.0], terms)
         if alloc is not None:
             best = _certify(alloc, se)
             *_, t_best, _ = best

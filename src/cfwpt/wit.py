@@ -12,6 +12,7 @@ validation, estimated from joint Monte Carlo draws.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,13 +30,19 @@ class SEStatistics:
 
     Cross-AP correlation survives only through a shared pilot, so
     C_km = E{ghat_k^H g_m g_m^H ghat_k} is u_km u_km^H with its diagonal
-    set to second_km.
+    set to second_km.  The solver's per-drop constants same_ap = second -
+    |u|^2 (C_km's diagonal past u u^H), u_conj and b_complex = b + 0j
+    are formed once, on first use.
     """
 
     b: np.ndarray        # (K, L) real
     second: np.ndarray   # (K, K, L) real
     u: np.ndarray        # (K, K, L) complex
     D: np.ndarray        # (K, L) real
+
+    same_ap = cached_property(lambda self: self.second - np.abs(self.u) ** 2)
+    u_conj = cached_property(lambda self: self.u.conj())
+    b_complex = cached_property(lambda self: self.b + 0j)
 
     @property
     def C(self):
@@ -78,9 +85,9 @@ def sinr_terms(a, se):
     """
     a = np.asarray(a, dtype=complex)
     # cross[k, m] = sum_l (second - |u|^2)_kml |a_kl|^2 + |u_km^H a_k|^2.
-    same_ap = (se.second - np.abs(se.u) ** 2) @ (np.abs(a) ** 2)[:, :, None]
+    same_ap = se.same_ap @ (np.abs(a) ** 2)[:, :, None]
     cross = (same_ap + np.abs(se.u @ a.conj()[:, :, None]) ** 2)[..., 0]
-    gain = np.abs(np.einsum("kl,kl->k", a.conj(), se.b + 0j)) ** 2
+    gain = np.abs(np.einsum("kl,kl->k", a.conj(), se.b_complex)) ** 2
     noise = np.einsum("kl,kl->k", np.abs(a) ** 2, se.D)
     return gain, cross, noise
 

@@ -1,5 +1,6 @@
 """Shared test fixtures: synthetic statistics, dense and batch-first
-Monte Carlo references, and an exact LP oracle."""
+Monte Carlo references, an exact LP oracle and a one-target-at-a-time
+bisection."""
 
 import itertools
 from fractions import Fraction
@@ -12,8 +13,12 @@ from cfwpt.channel import (
     sample_pilot_observation,
     sample_realization,
 )
+from cfwpt import maxmin
 from cfwpt.config import ScenarioConfig
 from cfwpt.geometry import ChannelStatistics, assign_pilots
+from cfwpt.lp import LPProblem, WarmStart, lp_feasible
+from cfwpt.wit import sinr_terms
+from cfwpt.wpt import PowerAllocation, harvested_energy
 
 
 def synthetic_stats(L, K, N, tau_p, seed, **overrides):
@@ -165,6 +170,83 @@ def einsum_energy_oracle(p, stats, cfg, mc_samples, rng):
         total += y.sum(axis=0)
         total_sq += (y ** 2).sum(axis=0)
     return mean_and_stderr(total, total_sq, mc_samples)
+
+
+def least_powers(t, terms):
+    """The least uplink powers that reach SINR t under the weights whose
+    sinr_terms are terms, from one K x K solve of B eta = t noise with
+    B = diag((1 + t) gain) - t cross; None if B is singular or eta is
+    not positive.  The per-target reference for
+    maxmin.minimum_uplink_powers."""
+    gain, cross, noise = terms
+    if t == 0.0:
+        return np.zeros_like(gain)
+    B = -t * cross
+    B[np.diag_indices_from(B)] += (1.0 + t) * gain
+    try:
+        eta = np.linalg.solve(B, t * noise)
+    except np.linalg.LinAlgError:
+        return None
+    return eta if np.all(eta > 0.0) else None
+
+
+def sequential_bisection(stats, cache, se, cfg, eps):
+    """(trace, t*, LP calls, LP pivots) of maxmin.solve_maxmin's bisection,
+    probed one target at a time: per target one least_powers solve, a
+    test of the need against each energy cut in turn, and at most one
+    LP call on the carried basis."""
+    coef = maxmin.energy_coefficient_table(se, cfg)
+    A = maxmin.build_feasibility_lp(cache, coef, cfg)
+    energy, scale = -A[:cfg.K], cfg.rho_d / cache.tr_rhat
+    pilot = cfg.tau_p * cfg.rho_p
+    warm, cuts, lp_calls = WarmStart(), [], 0
+
+    def probe(t, terms):
+        nonlocal lp_calls
+        eta = least_powers(t, terms)
+        if eta is None:
+            return None
+        need = (1.0 + maxmin.ENERGY_MARGIN) * (pilot + cfg.tau_u * eta)
+        if any(y @ need > (1.0 + maxmin.CUT_RTOL) * h for y, h in cuts):
+            return None
+        lp_calls += 1
+        b = np.concatenate([-need, np.ones(cfg.L)])
+        q = lp_feasible(LPProblem(A=A, b=b), warm=warm)
+        if q is None:
+            y = np.maximum(warm.farkas[:cfg.K], 0.0)
+            g = (y @ energy).reshape(cfg.K, -1).max(axis=0)
+            cuts.append((y, np.maximum(g, 0.0).sum()))
+            return None
+        q = q.reshape(scale.shape)
+        p = q / np.maximum(1.0, q.sum(axis=0)) * scale
+        spare = harvested_energy(p, coef) - pilot
+        if np.any(spare < 0.0):
+            return None
+        return PowerAllocation(p=p, eta=np.minimum(eta, spare / cfg.tau_u))
+
+    terms = sinr_terms(np.ones_like(se.b, dtype=complex), se)
+    trace, best = [], None
+    t_min, t_max = 0.0, maxmin.upper_bound_tmax(se, cache, stats, cfg)
+    while t_max - t_min > eps and len(trace) < maxmin.MAX_PROBES:
+        t = 0.5 * (t_min + t_max)
+        alloc = probe(t, terms)
+        if alloc is None:
+            trace.append((t, False, None))
+            t_max = t
+            continue
+        *_, t_star, terms = maxmin._certify(alloc, se)
+        best = t_star if best is None else max(best, t_star)
+        trace.append((t, True, best))
+        if t_star > t_min + 1e-9 * max(1.0, t_min):
+            t_min, t_max = t_star, 2.0 * t_star
+        else:
+            t_min, t_max = max(t_min, t_star), t
+    if best is None and t_max > 0.0:
+        alloc = probe(0.0, terms)
+        if alloc is not None:
+            *_, best, _ = maxmin._certify(alloc, se)
+        trace.append((0.0, best is not None, best))
+    return tuple(trace), 0.0 if best is None else best, lp_calls, warm.pivots
 
 
 def _exact_solve(rows, rhs):

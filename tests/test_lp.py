@@ -230,3 +230,100 @@ def test_unusable_carried_basis_restarts_from_slacks(basis):
         if feasible:
             _check_point(A, b, x)
         assert len(set(warm.basis.tolist())) == 3
+
+
+def _max_min_stream(seed, draws):
+    """(A, [b, ...]) max-min-shaped LPs from lp_stream, each A with six
+    needs (the rows with b <= 0, scaled), as the bisection poses them."""
+    rng = np.random.default_rng(seed)
+    shaped = (lp for t, lp in enumerate(lp_stream(seed)) if t % 3 == 2)
+    for A, b in itertools.islice(shaped, draws):
+        yield A, [np.where(b > 0.0, b, s * b)
+                  for s in rng.uniform(0.0, 3.0, size=6)]
+
+
+def test_carried_inverse_is_the_factored_one():
+    """After every call that pivots, warm carries, for its A and final
+    basis, exactly the B^-1 that np.linalg.inv gives of that basis."""
+    checked = 0
+    for A, bs in _max_min_stream(5, 150):
+        warm = WarmStart()
+        for b in bs:
+            lp_feasible(LPProblem(A=A, b=b), warm=warm)
+            if warm._inverse is None:
+                continue
+            owner, basis, Binv = warm._inverse
+            assert owner is A and np.array_equal(basis, warm.basis)
+            want = np.linalg.inv(warm._scaled[1][:, warm.basis])
+            assert Binv.tobytes() == want.tobytes()
+            checked += 1
+    assert checked > 300
+
+
+def _factor_spy(monkeypatch):
+    """Record the B^-1 each call hands _factor and the basis it starts on."""
+    seen = []
+    factor = cfwpt.lp._factor
+
+    def spy(M, basis, Binv=None):
+        out = factor(M, basis, Binv)
+        seen.append((Binv, out[0].copy()))
+        return out
+
+    monkeypatch.setattr(cfwpt.lp, "_factor", spy)
+    return seen
+
+
+def test_carried_inverse_only_for_its_own_basis_and_A(monkeypatch):
+    """The carried B^-1 is reused on the same A and basis only: a basis
+    set by hand, or a new A with the same entries, is factored afresh."""
+    A = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+    seen = _factor_spy(monkeypatch)
+    warm = WarmStart()
+    lp_feasible(LPProblem(A=A, b=np.array([-1.0, 1.0, 1.0])), warm=warm)
+    Binv = warm._inverse[2]
+    lp_feasible(LPProblem(A=A, b=np.array([-1.5, 1.0, 1.0])), warm=warm)
+    assert seen[-1][0] is Binv
+    warm.basis = warm.basis[::-1].copy()
+    lp_feasible(LPProblem(A=A, b=np.array([-1.2, 1.0, 1.0])), warm=warm)
+    assert seen[-1][0] is None
+    lp_feasible(LPProblem(A=A.copy(), b=np.array([-1.1, 1.0, 1.0])), warm=warm)
+    assert seen[-1][0] is None
+    assert warm._inverse is not None
+
+
+def test_raising_call_leaves_no_inverse(monkeypatch):
+    """A call that stops at the pivot cap after updating B^-1 in place
+    leaves no inverse behind, and the next call gets the cold verdict."""
+    A = np.vstack([-np.eye(3), np.ones((1, 3))])
+    warm = WarmStart()
+    lp_feasible(LPProblem(A=A, b=np.array([-1.0, 0.0, 0.0, 4.0])), warm=warm)
+    assert warm._inverse is not None and warm.pivots == 1
+    b = np.array([-1.0, -1.0, -1.0, 4.0])
+    # One pivot allowed: the call updates B^-1 once, then raises.
+    monkeypatch.setattr(cfwpt.lp, "PIVOT_CAP_FACTOR", 1 / (10 + 2 * 4 + 3))
+    with pytest.raises(SimplexIterationError):
+        lp_feasible(LPProblem(A=A, b=b), warm=WarmStart())
+    with pytest.raises(SimplexIterationError):
+        lp_feasible(LPProblem(A=A, b=b), warm=warm)
+    assert warm._inverse is None
+    assert warm.pivots == 1
+    monkeypatch.undo()
+    _check_point(A, b, lp_feasible(LPProblem(A=A, b=b), warm=warm))
+    assert warm.pivots == 3
+
+
+def test_carried_inverse_above_max_inverse_restarts(monkeypatch):
+    """A carried B^-1 with an entry above MAX_INVERSE gives way to the
+    all-slack basis, as a freshly factored one does."""
+    A = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+    warm = WarmStart()
+    lp_feasible(LPProblem(A=A, b=np.array([-1.0, 1.0, 1.0])), warm=warm)
+    assert np.any(warm.basis < 2) and np.abs(warm._inverse[2]).max() > 0.5
+    seen = _factor_spy(monkeypatch)
+    monkeypatch.setattr(cfwpt.lp, "MAX_INVERSE", 0.5)
+    x = lp_feasible(LPProblem(A=A, b=np.array([-1.5, 1.0, 1.0])), warm=warm)
+    _check_point(A, np.array([-1.5, 1.0, 1.0]), x)
+    carried, start = seen[-1]
+    assert carried is not None
+    assert np.array_equal(start, 2 + np.arange(3))

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,7 +32,9 @@ from helpers import (
     dense_covariance,
     dense_psi_inv_r,
     direct_rhat,
+    least_powers,
     oracle_feasible,
+    sequential_bisection,
     synthetic_stats,
 )
 
@@ -75,7 +78,7 @@ def _posed_b(t, terms, cfg):
     """The b an _EnergyLP probe at t poses, or None if no uplink powers
     reach t: the negated energy need with its margin, then the unit AP
     budgets (test_lp_layout checks that the probe poses exactly this)."""
-    eta = minimum_uplink_powers(t, terms)
+    eta = least_powers(t, terms)
     if eta is None:
         return None
     need = (1.0 + ENERGY_MARGIN) * (cfg.tau_p * cfg.rho_p + cfg.tau_u * eta)
@@ -111,8 +114,8 @@ def test_lp_layout(monkeypatch):
     energy_lp = maxmin._EnergyLP(cache, table, cfg)
     terms = sinr_terms(np.ones((K, L), dtype=complex), se)
     for t in (0.0, 1e-3, 2e-3):
-        eta = minimum_uplink_powers(t, terms)
-        energy_lp.probe(t, terms)
+        eta, = minimum_uplink_powers([t], terms)
+        energy_lp.run([t], terms)
         lp = posed[-1]
         assert np.array_equal(lp.A, A)
         assert lp.A is posed[0].A
@@ -128,10 +131,10 @@ def test_lp_zero_target_needs_pilot_energy():
     """At t = 0 no uplink power is needed but pilots must still be paid."""
     cfg, stats, cache, se = _instance()
     terms = sinr_terms(np.ones((3, 2), dtype=complex), se)
-    assert np.array_equal(minimum_uplink_powers(0.0, terms), np.zeros(3))
+    assert np.array_equal(minimum_uplink_powers([0.0], terms)[0], np.zeros(3))
     table = energy_coefficient_table(se, cfg)
-    alloc = maxmin._EnergyLP(cache, table, cfg).probe(0.0, terms)
-    assert alloc is not None and np.array_equal(alloc.eta, np.zeros(3))
+    i, alloc = maxmin._EnergyLP(cache, table, cfg).run([0.0], terms)
+    assert i == 0 and np.array_equal(alloc.eta, np.zeros(3))
     earned = harvested_energy(alloc.p, table)
     assert np.all(cfg.tau_p * cfg.rho_p <= earned * (1.0 + 1e-12))
     assert np.all(ap_transmit_powers(alloc.p, cache)
@@ -145,11 +148,11 @@ def test_feasible_probe_certifies_target():
     assert res.status == "solved" and res.t_star > 0.0
     t = 0.9 * res.t_star
     terms = sinr_terms(res.weights, se)
-    eta = minimum_uplink_powers(t, terms)
+    eta, = minimum_uplink_powers([t], terms)
     assert eta is not None
     table = energy_coefficient_table(se, cfg)
-    alloc = maxmin._EnergyLP(cache, table, cfg).probe(t, terms)
-    assert alloc is not None, "solver's own optimum must stay feasible below t_star"
+    i, alloc = maxmin._EnergyLP(cache, table, cfg).run([t], terms)
+    assert i == 0, "solver's own optimum must stay feasible below t_star"
     assert np.array_equal(alloc.eta, eta)
     earned = harvested_energy(alloc.p, table)
     assert np.all(cfg.tau_u * eta + cfg.tau_p * cfg.rho_p <= earned)
@@ -160,7 +163,7 @@ def test_feasible_probe_certifies_target():
 
 def _probe_feasible(t, a, se, cache, table, cfg):
     energy_lp = maxmin._EnergyLP(cache, table, cfg)
-    return energy_lp.probe(t, sinr_terms(a, se)) is not None
+    return energy_lp.run([t], sinr_terms(a, se))[1] is not None
 
 
 def test_single_user_feasibility_threshold():
@@ -192,7 +195,7 @@ def test_minimum_uplink_powers_solve_the_sinr_equalities():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
     t = 0.05
-    eta = minimum_uplink_powers(t, sinr_terms(a, se))
+    eta, = minimum_uplink_powers([t], sinr_terms(a, se))
     assert eta is not None and np.all(eta > 0.0)
     cross, gain, noise = _sinr_terms(a, se)
     B = np.diag((1.0 + t) * gain) - t * cross
@@ -211,7 +214,7 @@ def test_minimum_uplink_powers_solve_the_sinr_equalities():
 def test_minimum_uplink_powers_zero_target():
     cfg, stats, cache, se = _instance(seed=90)
     a = np.ones((3, 2), dtype=complex)
-    assert np.array_equal(minimum_uplink_powers(0.0, sinr_terms(a, se)),
+    assert np.array_equal(minimum_uplink_powers([0.0], sinr_terms(a, se))[0],
                           np.zeros(3))
 
 
@@ -223,11 +226,48 @@ def test_minimum_uplink_powers_none_above_single_user_bound():
     cross, gain, noise = _sinr_terms(a, se)
     limit = gain[0] / (cross[0, 0] - gain[0])
     assert np.isfinite(limit) and limit > 0.0
-    below = minimum_uplink_powers(0.99 * limit, sinr_terms(a, se))
+    below, above = minimum_uplink_powers([0.99 * limit, 1.01 * limit],
+                                         sinr_terms(a, se))
     assert below is not None
     assert sinr(sinr_terms(a, se), below)[0] == pytest.approx(0.99 * limit,
                                                               rel=1e-10)
-    assert minimum_uplink_powers(1.01 * limit, sinr_terms(a, se)) is None
+    assert above is None
+
+
+def test_stacked_least_powers_match_per_target_solves():
+    """Each target of the stacked solve gets the bits of its own K x K
+    solve, None where that gives None, and zeros at t = 0."""
+    cfg, stats, cache, se = _instance(seed=89, K=4, L=3, N=2, tau_p=2)
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    terms = sinr_terms(a, se)
+    ts = [0.0, 1e-3, 0.01, 0.05, 0.2, 1.0, 5.0, 50.0, 0.03]
+    got = minimum_uplink_powers(ts, terms)
+    want = [least_powers(t, terms) for t in ts]
+    assert len(got) == len(ts)
+    assert any(w is None for w in want)
+    assert sum(w is not None for w in want) > 2
+    for g, w in zip(got, want):
+        assert (g is None) == (w is None)
+        if w is not None:
+            assert g.tobytes() == w.tobytes()
+    assert np.array_equal(got[0], np.zeros(4))
+
+
+def test_stacked_least_powers_survive_a_singular_target():
+    """B(t) = diag((1 + t) gain) - t cross is singular at t = 1/2 here;
+    the stacked solve falls back to per-target solves and gives None
+    for that target alone, not an error for the stack."""
+    terms = (np.ones(2), np.array([[2.0, 1.0], [1.0, 2.0]]), np.ones(2))
+    B = np.diag(1.5 * terms[0]) - 0.5 * terms[1]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(B, 0.5 * terms[2])
+    ts = [0.25, 0.5, 0.0, 0.75]
+    got = minimum_uplink_powers(ts, terms)
+    assert got[0].tobytes() == least_powers(0.25, terms).tobytes()
+    assert got[1] is None and got[3] is None
+    assert np.array_equal(got[2], np.zeros(2))
+    assert minimum_uplink_powers([0.5], terms) == [None]
 
 
 def test_optimal_lsfd_zero_power_reduces_to_noise_whitening():
@@ -495,35 +535,84 @@ def _reference_drop_0():
     return cfg, 1e-2, build_drop(cfg, prop, _setup_rng(1, 0)[0])
 
 
-def _criterion_8_many_small_aps_drop_6():
+def _criterion_8_many_small_aps_drop(i):
     cfg = ScenarioConfig(K=8, tau_p=4, tau_d=25, tau_u=171, L=16, N=4,
                          rho_d=4.0 / 16)
-    rng = np.random.default_rng(np.random.SeedSequence(777, spawn_key=(6,)))
+    rng = np.random.default_rng(np.random.SeedSequence(777, spawn_key=(i,)))
     return cfg, 1e-4, build_drop(cfg, PropagationModel(), rng)
 
 
+def _large_network_drop_0():
+    cfg, prop = load_config(CONFIGS / "large_network.cfg")
+    return cfg, 1e-2, build_drop(cfg, prop, _setup_rng(1, 0)[0])
+
+
+@pytest.mark.parametrize("make", [
+    _reference_drop_0,
+    functools.partial(_criterion_8_many_small_aps_drop, 6),
+    _large_network_drop_0,
+    functools.partial(_criterion_8_many_small_aps_drop, 0),
+], ids=["reference-seed-1-drop-0", "criterion-8-many-small-aps-drop-6",
+        "large-network-seed-1-drop-0", "criterion-8-many-small-aps-drop-0"])
+def test_runs_retrace_the_sequential_bisection(make):
+    """The bisection's runs, one per weight vector, take the path of the
+    plain loop that solves, cuts and poses one target at a time: the
+    same trace, t*, LP calls and pivots, exactly.  On criterion 8's drop
+    0 a cut made within a run settles later targets of the same run."""
+    cfg, eps, (stats, cache, se) = make()
+    res = solve_maxmin(stats, cache, se, cfg, eps=eps)
+    trace, t_star, lp_calls, lp_pivots = sequential_bisection(
+        stats, cache, se, cfg, eps)
+    assert res.status == "solved" and len(trace) > 10
+    assert res.trace == trace
+    assert res.t_star == t_star
+    assert (res.lp_calls, res.lp_pivots) == (lp_calls, lp_pivots)
+
+
 def _spy_probes(monkeypatch):
-    """Record every _EnergyLP.probe call that reaches t with some uplink
-    powers as (energy_lp, b posed, settled by a cut, cuts stored before
-    the call, whether its LP verdict made a cut, allocation returned)."""
+    """Record every probe of an _EnergyLP.run that reaches its t with some
+    uplink powers as (energy_lp, b posed, settled by a cut, cuts stored
+    before it, whether its LP verdict made a cut, allocation returned).
+    A run probes its targets in order up to the first feasible one; the
+    b of each LP call it makes must be the next probe's posed b."""
     calls = []
-    probe = maxmin._EnergyLP.probe
+    run = maxmin._EnergyLP.run
 
-    def spy(self, t, terms):
-        lp_calls, cuts = self.lp_calls, len(self.cuts)
-        alloc = probe(self, t, terms)
-        b = _posed_b(t, terms, self.cfg)
-        if b is not None:
-            calls.append((self, b, self.lp_calls == lp_calls, cuts,
-                          len(self.cuts) > cuts, alloc))
-        return alloc
+    def spy(self, ts, terms):
+        lp, posed, start = maxmin.lp_feasible, [], len(self.cut_h)
 
-    monkeypatch.setattr(maxmin._EnergyLP, "probe", spy)
+        def lp_spy(problem, warm):
+            posed.append((problem.b, len(self.cut_h)))
+            return lp(problem, warm=warm)
+
+        maxmin.lp_feasible = lp_spy
+        try:
+            i, alloc = run(self, ts, terms)
+        finally:
+            maxmin.lp_feasible = lp
+        counts = [n for _, n in posed] + [len(self.cut_h)]
+        k, cuts = 0, start
+        for j, t in enumerate(ts[:i + 1]):
+            b = _posed_b(t, terms, self.cfg)
+            if b is None:
+                continue
+            by_cut = k == len(posed) or not np.array_equal(posed[k][0], b)
+            made_cut = not by_cut and counts[k + 1] > counts[k]
+            calls.append((self, b, by_cut, cuts, made_cut,
+                          alloc if j == i else None))
+            if not by_cut:
+                k += 1
+                cuts = counts[k]
+        assert k == len(posed)
+        return i, alloc
+
+    monkeypatch.setattr(maxmin._EnergyLP, "run", spy)
     return calls
 
 
 @pytest.mark.parametrize("make", [_reference_drop_0,
-                                  _criterion_8_many_small_aps_drop_6],
+                                  functools.partial(
+                                      _criterion_8_many_small_aps_drop, 6)],
                          ids=["reference-seed-1-drop-0",
                               "criterion-8-many-small-aps-drop-6"])
 def test_warm_verdicts_match_cold_solves(make, monkeypatch):
@@ -587,13 +676,14 @@ def test_energy_cuts_are_exact(monkeypatch):
         if not by_cut:
             if made_cut:
                 assert alloc is None
-                y, h = energy_lp.cuts[before]
+                y, h = energy_lp.cut_y[before], energy_lp.cut_h[before]
                 assert y @ need > (1.0 + CUT_RTOL) * h
                 assert _exact_cut_excess(y, need, energy_lp.energy) > 0
             continue
         settled += 1
         assert alloc is None
-        fired = [y for y, h in energy_lp.cuts[:before]
+        fired = [y for y, h in zip(energy_lp.cut_y[:before],
+                                   energy_lp.cut_h[:before])
                  if y @ need > (1.0 + CUT_RTOL) * h]
         assert fired
         for y in fired:
@@ -638,7 +728,7 @@ def test_reference_seed_2_drop_6_first_probe_is_certified():
     energy_lp = maxmin._EnergyLP(cache, energy_coefficient_table(se, cfg), cfg)
     terms = sinr_terms(np.ones((cfg.K, cfg.L), dtype=complex), se)
     t = 0.5 * upper_bound_tmax(se, cache, stats, cfg)
-    assert energy_lp.probe(t, terms) is None and energy_lp.lp_calls == 1
+    assert energy_lp.run([t], terms)[1] is None and energy_lp.lp_calls == 1
     y, A, b = energy_lp.warm.farkas, energy_lp.A, _posed_b(t, terms, cfg)
     assert A.shape == (36, 320)
     assert np.all(y >= 0.0)
