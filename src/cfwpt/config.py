@@ -98,9 +98,9 @@ def load_config(path):
     -------
     (ScenarioConfig, PropagationModel)
 
-    Unknown keys are rejected rather than ignored so that typos fail
-    loudly.  Power keys accept either watts (``rho_p``) or a ``_dbm``
-    variant converted at parse time.
+    Unknown and repeated keys are rejected rather than ignored so that
+    typos fail loudly.  Power keys accept either watts (``rho_p``) or a
+    ``_dbm`` variant converted at parse time, one key in either spelling.
     """
     from .geometry import PropagationModel
 
@@ -112,7 +112,12 @@ def load_config(path):
 
     cfg_kwargs = {}
     prop_kwargs = {}
+    first = {}      # line that set each key, both power spellings as one
     for lineno, key, value in _parse_lines(text):
+        name = _DBM_KEYS.get(key, key)
+        if first.setdefault(name, lineno) != lineno:
+            raise ConfigError(f"line {lineno}: {name!r} is already set "
+                              f"on line {first[name]}")
         try:
             if key in _PARSERS:
                 cfg_kwargs[key] = _PARSERS[key](value)

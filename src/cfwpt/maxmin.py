@@ -7,12 +7,13 @@ bisection with bracket doubling after every certified step.
 
 With the weights fixed, the least uplink powers that reach t come from
 a linear solve, so the LP only asks whether the APs can deliver the
-energy those powers need.  One _EnergyLP per solve poses it, in one run
-per weight vector: one stacked solve (minimum_uplink_powers) gives the
-needs of the targets the bisection would try, and cuts settle most
-before the LP runs.  Each infeasible verdict leaves a Farkas row y
-(WarmStart.farkas) whose energy entries, clipped to y >= 0, make a cut:
-with g = sum_k y_k E_k over the per-share energy rows E, every budget
+energy those powers need.  One _EnergyLP per solve poses it on one
+lp.FeasibilityLP, whose rows stay fixed while only the needs change, in
+one run per weight vector: one stacked solve (minimum_uplink_powers)
+gives the needs of the targets the bisection would try, and cuts settle
+most before the LP runs.  Each infeasible verdict leaves a Farkas row y
+(FeasibilityLP.farkas) whose energy entries, clipped to y >= 0, make a
+cut: with g = sum_k y_k E_k over the per-share energy rows E, every budget
 split q >= 0 with sum_i q_il <= 1 has y . E q = sum_il g_il q_il <=
 h(y) = sum_l max(0, max_i g_il).  So a need (margin included) with
 y . need > h(y) is infeasible, an exact proof without LP tolerance that
@@ -23,11 +24,11 @@ on UE i, flattened row-major so q_il sits at index i*L + l.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lp import LPProblem, WarmStart, lp_feasible
+from .lp import FeasibilityLP, lp_feasible
 from .wit import sinr, sinr_terms, spectral_efficiency
 from .wpt import PowerAllocation, harvested_energy
 # The energy table, also bound under its maxmin name, which perfbench's
@@ -59,24 +60,6 @@ class MaxMinResult:
     bracket: tuple = (0.0, 0.0)
     lp_pivots: int = 0
     lp_calls: int = 0
-
-
-def _result(best, cfg, trace=(), bracket=(0.0, 0.0), cap_hit=False,
-            lp_pivots=0, lp_calls=0):
-    """The outcome at best, a certified (alloc, weights, SINRs, t*,
-    terms) from _certify, with the solver's path.  With best None,
-    infeasible_at_zero and all-zero powers."""
-    status = "solved" if best is not None else "infeasible_at_zero"
-    if best is None:
-        zero = PowerAllocation(p=np.zeros((cfg.K, cfg.L)), eta=np.zeros(cfg.K))
-        best = (zero, np.ones((cfg.K, cfg.L), dtype=complex), np.zeros(cfg.K),
-                0.0, None)
-    alloc, weights, sinr_k, t_star, _ = best
-    return MaxMinResult(
-        t_star=t_star, allocation=alloc, weights=weights, per_ue_sinr=sinr_k,
-        per_ue_se=spectral_efficiency(sinr_k, cfg), trace=trace, status=status,
-        cap_hit=cap_hit, bracket=bracket, lp_pivots=lp_pivots,
-        lp_calls=lp_calls)
 
 
 def minimum_uplink_powers(ts, terms):
@@ -137,18 +120,18 @@ CUT_RTOL = 1e-12
 
 
 class _EnergyLP:
-    """One solve's feasibility probes: the LP rows, laid out once, the
-    carried simplex basis, the energy cuts, one row y of cut_y and bound
-    h(y) in cut_h per infeasible LP verdict (module docstring), and the
-    count of LP calls."""
+    """One solve's feasibility probes: the LP (lp, rows laid out once,
+    with its carried simplex basis), the energy cuts, one row y of cut_y
+    and bound h(y) in cut_h per infeasible LP verdict (module
+    docstring), and the count of LP calls."""
 
     def __init__(self, cache, coef, cfg):
         self.coef, self.cfg = coef, cfg
         self.scale = cfg.rho_d / cache.tr_rhat      # q_il -> p_il
-        self.A = build_feasibility_lp(cache, coef, cfg)
-        self.energy = -self.A[:cfg.K]                # E_k q, UE k's harvest
+        self.lp = FeasibilityLP(build_feasibility_lp(cache, coef, cfg))
+        self.energy = -self.lp.A[:cfg.K]             # E_k q, UE k's harvest
         self.cut_y, self.cut_h = np.empty((0, cfg.K)), np.empty(0)
-        self.warm, self.lp_calls = WarmStart(), 0
+        self.lp_calls = 0
 
     def run(self, ts, terms):
         """(i, alloc): the first target ts[i] the APs can pay for under
@@ -177,9 +160,9 @@ class _EnergyLP:
                 continue
             self.lp_calls += 1
             b = np.concatenate([-need[j], np.ones(cfg.L)])
-            q = lp_feasible(LPProblem(A=self.A, b=b), warm=self.warm)
+            q = lp_feasible(self.lp, b)
             if q is None:
-                y = np.maximum(self.warm.farkas[:cfg.K], 0.0)
+                y = np.maximum(self.lp.farkas[:cfg.K], 0.0)
                 g = (y @ self.energy).reshape(cfg.K, -1).max(axis=0)
                 h = np.maximum(g, 0.0).sum()
                 self.cut_y = np.vstack([self.cut_y, y])
@@ -240,10 +223,10 @@ def upper_bound_tmax(se, cache, stats, cfg):
     return float(np.min(eta * q / (1.0 - eta * q)))
 
 
-def _certify(alloc, se):
-    """(alloc, weights, SINRs, t*, terms): the optimal weights for alloc,
-    the SINRs they give, their minimum and the weights' sinr_terms,
-    which the next probes reuse.
+def _certify(alloc, se, cfg):
+    """(result, terms): the solved MaxMinResult at alloc, with the
+    optimal weights for alloc, the SINRs they give and their minimum,
+    and the weights' sinr_terms, which the next probes reuse.
 
     Raises ValueError if the minimum SINR is not finite, so no solve is
     reported as solved without a finite certificate.
@@ -254,7 +237,9 @@ def _certify(alloc, se):
     t_star = float(sinr_k.min())
     if not np.isfinite(t_star):
         raise ValueError(f"certified minimum SINR {t_star} is not finite")
-    return alloc, a, sinr_k, t_star, terms
+    return MaxMinResult(t_star=t_star, allocation=alloc, weights=a,
+                        per_ue_sinr=sinr_k,
+                        per_ue_se=spectral_efficiency(sinr_k, cfg)), terms
 
 
 # Iteration guard of the bisection; a solve that reaches it reports cap_hit.
@@ -282,7 +267,7 @@ def solve_maxmin(stats, cache, se, cfg, eps=1e-2):
     trace = []
 
     t_min, t_max = 0.0, upper_bound_tmax(se, cache, stats, cfg)
-    best = t_best = None
+    best = None
     while t_max - t_min > eps and len(trace) < MAX_PROBES:
         # The targets the bisection tries, up to its first feasible one.
         ts = [0.5 * (t_min + t_max)]
@@ -294,11 +279,11 @@ def solve_maxmin(stats, cache, se, cfg, eps=1e-2):
             t_max = ts[-1]
             continue
         t = ts[i]
-        cert = _certify(alloc, se)
-        *_, t_star, terms = cert
-        if best is None or t_star > t_best:
-            best, t_best = cert, t_star
-        trace.append((t, True, t_best))
+        cert, terms = _certify(alloc, se, cfg)
+        t_star = cert.t_star
+        if best is None or t_star > best.t_star:
+            best = cert
+        trace.append((t, True, best.t_star))
         if t_star > t_min + 1e-9 * max(1.0, t_min):
             t_min, t_max = t_star, 2.0 * t_star
         else:
@@ -310,14 +295,21 @@ def solve_maxmin(stats, cache, se, cfg, eps=1e-2):
         # already says that some UE cannot pay its pilot.
         _, alloc = energy_lp.run([0.0], terms)
         if alloc is not None:
-            best = _certify(alloc, se)
-            *_, t_best, _ = best
-        trace.append((0.0, best is not None, t_best))
+            best = _certify(alloc, se, cfg)[0]
+        trace.append((0.0, best is not None,
+                      None if best is None else best.t_star))
+    if best is None:    # not even t = 0 is feasible: all-zero powers
+        best = MaxMinResult(
+            t_star=0.0,
+            allocation=PowerAllocation(p=np.zeros((cfg.K, cfg.L)),
+                                       eta=np.zeros(cfg.K)),
+            weights=np.ones((cfg.K, cfg.L), dtype=complex),
+            per_ue_sinr=np.zeros(cfg.K), per_ue_se=np.zeros(cfg.K),
+            status="infeasible_at_zero")
 
     # The loop ends with the bracket open only at the iteration guard.
-    return _result(best, cfg, trace=tuple(trace), bracket=(t_min, t_max),
-                   cap_hit=t_max - t_min > eps,
-                   lp_pivots=energy_lp.warm.pivots,
+    return replace(best, trace=tuple(trace), bracket=(t_min, t_max),
+                   cap_hit=t_max - t_min > eps, lp_pivots=energy_lp.lp.pivots,
                    lp_calls=energy_lp.lp_calls)
 
 
@@ -331,4 +323,4 @@ def fpc_baseline(stats, cache, se, cfg):
     p = (cfg.rho_d / root.sum(axis=0))[None, :] / root
     energy = harvested_energy(p, energy_coefficient_table(se, cfg))
     eta = np.maximum(0.0, (energy - cfg.tau_p * cfg.rho_p) / cfg.tau_u)
-    return _result(_certify(PowerAllocation(p=p, eta=eta), se), cfg)
+    return _certify(PowerAllocation(p=p, eta=eta), se, cfg)[0]

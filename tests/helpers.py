@@ -16,7 +16,7 @@ from cfwpt.channel import (
 from cfwpt import maxmin
 from cfwpt.config import ScenarioConfig
 from cfwpt.geometry import ChannelStatistics, assign_pilots
-from cfwpt.lp import LPProblem, WarmStart, lp_feasible
+from cfwpt.lp import FeasibilityLP, lp_feasible
 from cfwpt.wit import sinr_terms
 from cfwpt.wpt import PowerAllocation, harvested_energy
 
@@ -196,10 +196,10 @@ def sequential_bisection(stats, cache, se, cfg, eps):
     test of the need against each energy cut in turn, and at most one
     LP call on the carried basis."""
     coef = maxmin.energy_coefficient_table(se, cfg)
-    A = maxmin.build_feasibility_lp(cache, coef, cfg)
-    energy, scale = -A[:cfg.K], cfg.rho_d / cache.tr_rhat
+    lp = FeasibilityLP(maxmin.build_feasibility_lp(cache, coef, cfg))
+    energy, scale = -lp.A[:cfg.K], cfg.rho_d / cache.tr_rhat
     pilot = cfg.tau_p * cfg.rho_p
-    warm, cuts, lp_calls = WarmStart(), [], 0
+    cuts, lp_calls = [], 0
 
     def probe(t, terms):
         nonlocal lp_calls
@@ -211,9 +211,9 @@ def sequential_bisection(stats, cache, se, cfg, eps):
             return None
         lp_calls += 1
         b = np.concatenate([-need, np.ones(cfg.L)])
-        q = lp_feasible(LPProblem(A=A, b=b), warm=warm)
+        q = lp_feasible(lp, b)
         if q is None:
-            y = np.maximum(warm.farkas[:cfg.K], 0.0)
+            y = np.maximum(lp.farkas[:cfg.K], 0.0)
             g = (y @ energy).reshape(cfg.K, -1).max(axis=0)
             cuts.append((y, np.maximum(g, 0.0).sum()))
             return None
@@ -234,7 +234,8 @@ def sequential_bisection(stats, cache, se, cfg, eps):
             trace.append((t, False, None))
             t_max = t
             continue
-        *_, t_star, terms = maxmin._certify(alloc, se)
+        cert, terms = maxmin._certify(alloc, se, cfg)
+        t_star = cert.t_star
         best = t_star if best is None else max(best, t_star)
         trace.append((t, True, best))
         if t_star > t_min + 1e-9 * max(1.0, t_min):
@@ -244,9 +245,9 @@ def sequential_bisection(stats, cache, se, cfg, eps):
     if best is None and t_max > 0.0:
         alloc = probe(0.0, terms)
         if alloc is not None:
-            *_, best, _ = maxmin._certify(alloc, se)
+            best = maxmin._certify(alloc, se, cfg)[0].t_star
         trace.append((0.0, best is not None, best))
-    return tuple(trace), 0.0 if best is None else best, lp_calls, warm.pivots
+    return tuple(trace), 0.0 if best is None else best, lp_calls, lp.pivots
 
 
 def _exact_solve(rows, rhs):

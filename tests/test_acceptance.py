@@ -22,7 +22,7 @@ from cfwpt.cli import build_drop, run_optimize
 from cfwpt.config import ScenarioConfig, load_config
 from cfwpt.estimation import build_cache
 from cfwpt.geometry import PropagationModel
-from cfwpt.lp import LPProblem, lp_feasible
+from cfwpt.lp import FeasibilityLP, lp_feasible
 from cfwpt.maxmin import fpc_baseline, optimal_lsfd, solve_maxmin
 from cfwpt.wit import lsfd_statistics, se_statistics_oracle, sinr, sinr_terms
 from cfwpt.wpt import (
@@ -267,7 +267,7 @@ def test_criterion_7_lp_against_exact_oracle():
     agree = 0
     for _ in range(100):
         A, b = random_int_lp(rng)
-        got = lp_feasible(LPProblem(A=A, b=b)) is not None
+        got = lp_feasible(FeasibilityLP(A), b) is not None
         agree += got == oracle_feasible(A, b)
     _report(7, "simplex verdicts match the rational oracle",
             agree == 100, f"{agree}/100 agree")

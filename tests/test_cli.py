@@ -262,14 +262,16 @@ def test_main_rejects_bad_counts(command, option, value, tmp_path, capsys):
 @pytest.mark.parametrize("name, content, argv", [
     ("bad.cfg", b"K = \xff\xfe\n",
      ["optimize", "-c", "{path}", "--setups", "1", "-o", "{dir}/out"]),
+    ("bad.cfg", b"rho_p = 0.5\nrho_p_dbm = -40\n",
+     ["optimize", "-c", "{path}", "--setups", "1", "-o", "{dir}/out"]),
     ("manifest.json", b"[]", ["cdf", "-o", "{dir}"]),
     ("manifest.json", b'{"records": [{"se_fpc": [1.0], "min_se_mmf": 1.0,'
                       b' "min_se_fpc": 1.0}]}', ["cdf", "-o", "{dir}"]),
     ("manifest.json", b'{"records": [{"se_mmf": ["x"], "se_fpc": [1.0],'
                       b' "min_se_mmf": 1.0, "min_se_fpc": 1.0}]}',
      ["cdf", "-o", "{dir}"]),
-], ids=["non-utf8-config", "manifest-not-an-object", "record-without-se_mmf",
-        "se-not-a-number"])
+], ids=["non-utf8-config", "repeated-config-key", "manifest-not-an-object",
+        "record-without-se_mmf", "se-not-a-number"])
 def test_main_rejects_malformed_input(name, content, argv, tmp_path, capsys):
     """Input that cannot be decoded, or that parses but has the wrong
     shape, exits 2 with a message instead of a traceback."""

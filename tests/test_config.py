@@ -156,6 +156,22 @@ def test_load_config_rejects_bad_value(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("first, again", [
+    ("L = 4", "L = 9"),
+    ("rho_p = 0.5", "rho_p_dbm = -40"),
+    ("sigma2_dbm = -96", "sigma2 = 1e-12"),
+    ("rho_d_dbm = 20", "rho_d_dbm = 24"),
+    ("shadow_std_los = 2", "shadow_std_los = 3"),
+])
+def test_load_config_rejects_repeated_key(first, again, tmp_path):
+    """A key set twice, in watts or dBm alike, is an error that names
+    both lines, not a silent win for the last one."""
+    path = tmp_path / "twice.cfg"
+    path.write_text(f"K = 6\n{first}\n# comment\n\n{again}\n")
+    with pytest.raises(ConfigError, match=r"^line 5: .* line 2$"):
+        load_config(path)
+
+
 def test_load_config_rejects_short_triple(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("pathloss_los = 1.0, 2.0\n")

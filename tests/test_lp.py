@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import cfwpt.lp
-from cfwpt.lp import LPProblem, SimplexIterationError, WarmStart, lp_feasible
+from cfwpt.lp import FeasibilityLP, SimplexIterationError, lp_feasible
 
 from helpers import _exact_solve, lp_stream, oracle_feasible, random_int_lp
 
@@ -16,24 +16,24 @@ def _check_point(A, b, x, tol=1e-7):
     assert np.all(A @ x - b <= tol * scale)
 
 
-def _check_farkas(A, b, warm):
-    """The row of B^-1 that warm holds for its final basis, rebuilt in
+def _check_farkas(A, b, lp):
+    """The row of B^-1 that lp holds for its final basis, rebuilt in
     exact arithmetic from the integer data, is a Farkas certificate:
-    y >= 0, y A >= 0 and y b < 0; and warm.farkas is that row, up to a
+    y >= 0, y A >= 0 and y b < 0; and lp.farkas is that row, up to a
     positive scale and rounding.
 
     y solves B^T y = e_row, where row is the one unit entry of
-    warm.farkas @ [A I][:, basis] (in A's row units that product is
+    lp.farkas @ [A I][:, basis] (in A's row units that product is
     e_row times a positive column scale).  A basic slack of row i fixes
     y_i to its entry of e_row, so only the structural basic columns
     leave a system to solve, in the other entries of y.
     """
     m, n = A.shape
-    unit = warm.farkas @ np.hstack([A, np.eye(m)])[:, warm.basis]
+    unit = lp.farkas @ np.hstack([A, np.eye(m)])[:, lp.basis]
     A = A.astype(int)
     e = (np.arange(m) == np.argmax(np.abs(unit))).astype(int)
-    slack = warm.basis >= n
-    fixed, cols = warm.basis[slack] - n, warm.basis[~slack]
+    slack = lp.basis >= n
+    fixed, cols = lp.basis[slack] - n, lp.basis[~slack]
     free = np.setdiff1d(np.arange(m), fixed)
     solved = _exact_solve(A[np.ix_(free, cols)].T.tolist(),
                           (e[~slack] - e[slack] @ A[fixed][:, cols]).tolist())
@@ -46,27 +46,26 @@ def _check_farkas(A, b, warm):
     assert np.all(y @ A >= 0)
     assert y @ b.astype(int) < 0
     exact = np.array([float(v) for v in y]) / max(y)
-    assert np.allclose(warm.farkas / warm.farkas.max(), exact,
+    assert np.allclose(lp.farkas / lp.farkas.max(), exact,
                        rtol=1e-9, atol=1e-12)
 
 
 def test_single_variable_feasible():
-    lp = LPProblem(A=np.array([[1.0]]), b=np.array([1.0]))
-    x = lp_feasible(lp)
-    _check_point(lp.A, lp.b, x)
+    A, b = np.array([[1.0]]), np.array([1.0])
+    _check_point(A, b, lp_feasible(FeasibilityLP(A), b))
 
 
 def test_single_variable_infeasible():
     # x <= 1 and x >= 2 cannot both hold.
-    lp = LPProblem(A=np.array([[1.0], [-1.0]]), b=np.array([1.0, -2.0]))
-    assert lp_feasible(lp) is None
+    A, b = np.array([[1.0], [-1.0]]), np.array([1.0, -2.0])
+    assert lp_feasible(FeasibilityLP(A), b) is None
 
 
 def test_lower_bound_met():
     # x >= 2, x <= 3.
-    lp = LPProblem(A=np.array([[-1.0], [1.0]]), b=np.array([-2.0, 3.0]))
-    x = lp_feasible(lp)
-    _check_point(lp.A, lp.b, x)
+    A, b = np.array([[-1.0], [1.0]]), np.array([-2.0, 3.0])
+    x = lp_feasible(FeasibilityLP(A), b)
+    _check_point(A, b, x)
     assert 2.0 - 1e-9 <= x[0] <= 3.0 + 1e-9
 
 
@@ -74,7 +73,7 @@ def test_equality_via_two_rows():
     # x + y = 4 encoded as two inequalities, plus x <= 1 forces y >= 3.
     A = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, 0.0]])
     b = np.array([4.0, -4.0, 1.0])
-    x = lp_feasible(LPProblem(A=A, b=b))
+    x = lp_feasible(FeasibilityLP(A), b)
     _check_point(A, b, x)
     assert x[0] + x[1] == pytest.approx(4.0, abs=1e-9)
 
@@ -82,25 +81,27 @@ def test_equality_via_two_rows():
 def test_nonnegative_rhs_shortcut():
     A = np.array([[5.0, -2.0], [1.0, 1.0]])
     b = np.array([3.0, 0.0])
-    x = lp_feasible(LPProblem(A=A, b=b))
+    x = lp_feasible(FeasibilityLP(A), b)
     assert np.array_equal(x, np.zeros(2))
 
 
 def test_zero_rows():
-    lp = LPProblem(A=np.zeros((0, 3)), b=np.zeros(0))
-    assert np.array_equal(lp_feasible(lp), np.zeros(3))
+    lp = FeasibilityLP(np.zeros((0, 3)))
+    assert np.array_equal(lp_feasible(lp, np.zeros(0)), np.zeros(3))
 
 
 def test_zero_variables():
-    assert lp_feasible(LPProblem(A=np.zeros((2, 0)), b=np.array([1.0, 0.0]))) is not None
-    assert lp_feasible(LPProblem(A=np.zeros((1, 0)), b=np.array([-1.0]))) is None
+    assert lp_feasible(FeasibilityLP(np.zeros((2, 0))),
+                       np.array([1.0, 0.0])) is not None
+    assert lp_feasible(FeasibilityLP(np.zeros((1, 0))),
+                       np.array([-1.0])) is None
 
 
 def test_iteration_cap_raises(monkeypatch):
-    lp = LPProblem(A=np.array([[-1.0]]), b=np.array([-2.0]))
+    lp = FeasibilityLP(np.array([[-1.0]]))
     monkeypatch.setattr(cfwpt.lp, "PIVOT_CAP_FACTOR", 0)
     with pytest.raises(SimplexIterationError, match="in 0 pivots"):
-        lp_feasible(lp)
+        lp_feasible(lp, np.array([-2.0]))
 
 
 def test_returned_point_feasibility_random():
@@ -108,7 +109,7 @@ def test_returned_point_feasibility_random():
     found = 0
     for _ in range(60):
         A, b = random_int_lp(rng)
-        x = lp_feasible(LPProblem(A=A, b=b))
+        x = lp_feasible(FeasibilityLP(A), b)
         if x is not None:
             _check_point(A, b, x)
             found += 1
@@ -119,7 +120,7 @@ def test_agreement_with_exact_oracle():
     rng = np.random.default_rng(1618)
     for _ in range(25):
         A, b = random_int_lp(rng, max_vars=5, max_rows=8)
-        got = lp_feasible(LPProblem(A=A, b=b)) is not None
+        got = lp_feasible(FeasibilityLP(A), b) is not None
         assert got == oracle_feasible(A, b)
 
 
@@ -127,14 +128,14 @@ def test_feasibility_invariant_under_extreme_scaling():
     rng = np.random.default_rng(99)
     for _ in range(20):
         A, b = random_int_lp(rng, max_vars=4, max_rows=6)
-        base = lp_feasible(LPProblem(A=A, b=b)) is not None
+        base = lp_feasible(FeasibilityLP(A), b) is not None
         row = 10.0 ** rng.uniform(-10, 6, size=A.shape[0])
         col = 10.0 ** rng.uniform(-6, 6, size=A.shape[1])
-        scaled = LPProblem(A=A * row[:, None] * col[None, :], b=b * row)
-        assert (lp_feasible(scaled) is not None) == base
-        x = lp_feasible(scaled)
+        A, b = A * row[:, None] * col[None, :], b * row
+        x = lp_feasible(FeasibilityLP(A), b)
+        assert (x is not None) == base
         if x is not None:
-            _check_point(scaled.A, scaled.b, x)
+            _check_point(A, b, x)
 
 
 def test_wireless_scale_spread():
@@ -149,8 +150,7 @@ def test_wireless_scale_spread():
         [1.0e-2, 1.0e-2, 1.0e-2],
     ])
     b = np.array([1.0e9, -2.0e-8, 5.0e-2])
-    x = lp_feasible(LPProblem(A=A, b=b))
-    _check_point(A, b, x)
+    _check_point(A, b, lp_feasible(FeasibilityLP(A), b))
 
 
 def test_infeasible_verdicts_carry_farkas_certificates():
@@ -160,9 +160,9 @@ def test_infeasible_verdicts_carry_farkas_certificates():
     checked = 0
     for _ in range(100):
         A, b = random_int_lp(rng)
-        warm = WarmStart()
-        if lp_feasible(LPProblem(A=A, b=b), warm=warm) is None:
-            _check_farkas(A, b, warm)
+        lp = FeasibilityLP(A)
+        if lp_feasible(lp, b) is None:
+            _check_farkas(A, b, lp)
             checked += 1
     assert checked == 64     # the rational oracle's infeasible draws
 
@@ -174,7 +174,7 @@ def test_degenerate_stream_draw_is_feasible(trial):
     to the pivot cap, 6412 was called infeasible."""
     A, b = next(itertools.islice(lp_stream(1), trial, None))
     assert oracle_feasible(A, b)
-    _check_point(A, b, lp_feasible(LPProblem(A=A, b=b)))
+    _check_point(A, b, lp_feasible(FeasibilityLP(A), b))
 
 
 def test_degenerate_stream_verdicts_certified():
@@ -182,54 +182,32 @@ def test_degenerate_stream_verdicts_certified():
     and every verdict carries its certificate: a feasible point or a
     Farkas row."""
     for A, b in itertools.islice(lp_stream(1), 3000):
-        warm = WarmStart()
-        x = lp_feasible(LPProblem(A=A, b=b), warm=warm)
+        lp = FeasibilityLP(A)
+        x = lp_feasible(lp, b)
         if x is None:
-            _check_farkas(A, b, warm)
+            _check_farkas(A, b, lp)
         else:
             _check_point(A, b, x)
 
 
 def test_warm_start_reuses_and_reports_basis():
-    """A WarmStart hands each call's final basis to the next call on the
-    same A; the pivot count accumulates and farkas holds the certificate."""
+    """A FeasibilityLP hands each call's final basis to the next call;
+    the pivot count accumulates and farkas holds the certificate."""
     A = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-    warm = WarmStart()
-    x = lp_feasible(LPProblem(A=A, b=np.array([-1.0, 1.0, 1.0])), warm=warm)
+    lp = FeasibilityLP(A)
+    x = lp_feasible(lp, np.array([-1.0, 1.0, 1.0]))
     _check_point(A, np.array([-1.0, 1.0, 1.0]), x)
-    assert warm.farkas is None and warm.pivots >= 1
-    first = warm.pivots
+    assert lp.farkas is None and lp.pivots >= 1
+    first = lp.pivots
     # A smaller need: the carried basis stays feasible, so no pivot.
     b = np.array([-0.5, 1.0, 1.0])
-    _check_point(A, b, lp_feasible(LPProblem(A=A, b=b), warm=warm))
-    assert warm.pivots == first
-    assert lp_feasible(LPProblem(A=A, b=np.array([-3.0, 1.0, 1.0])),
-                       warm=warm) is None
-    y = warm.farkas
+    _check_point(A, b, lp_feasible(lp, b))
+    assert lp.pivots == first
+    assert lp_feasible(lp, np.array([-3.0, 1.0, 1.0])) is None
+    y = lp.farkas
     assert np.all(y >= 0.0) and np.all(y @ A >= 0.0)
     assert y @ np.array([-3.0, 1.0, 1.0]) < 0.0
-    assert sorted(warm.basis) == sorted(set(warm.basis))
-
-
-@pytest.mark.parametrize("basis", [
-    np.array([0, 0, 4]),     # one column twice: singular
-    np.array([0, 1, 4]),     # two nearly parallel columns
-    np.array([0, 1]),        # wrong length
-    np.array([0, 1, 9]),     # no such column
-], ids=["singular", "ill-conditioned", "wrong-length", "out-of-range"])
-def test_unusable_carried_basis_restarts_from_slacks(basis):
-    """A carried basis that cannot be factored safely gives way to the
-    all-slack basis, and the verdict is the cold one."""
-    A = np.array([[-1.0, -1.0 - 1e-12], [1.0, 1.0], [0.0, 1.0]])
-    for b, feasible in ((np.array([-1.0, 2.0, 1.0]), True),
-                        (np.array([-3.0, 2.0, 1.0]), False)):
-        assert (lp_feasible(LPProblem(A=A, b=b)) is not None) == feasible
-        warm = WarmStart(basis=basis)
-        x = lp_feasible(LPProblem(A=A, b=b), warm=warm)
-        assert (x is not None) == feasible
-        if feasible:
-            _check_point(A, b, x)
-        assert len(set(warm.basis.tolist())) == 3
+    assert sorted(lp.basis) == sorted(set(lp.basis))
 
 
 def _max_min_stream(seed, draws):
@@ -243,87 +221,57 @@ def _max_min_stream(seed, draws):
 
 
 def test_carried_inverse_is_the_factored_one():
-    """After every call that pivots, warm carries, for its A and final
-    basis, exactly the B^-1 that np.linalg.inv gives of that basis."""
+    """After every call lp carries, for its final basis, exactly the
+    B^-1 that np.linalg.inv gives of that basis; more than 300 of the
+    calls end on a basis with structural columns."""
     checked = 0
     for A, bs in _max_min_stream(5, 150):
-        warm = WarmStart()
+        lp = FeasibilityLP(A)
         for b in bs:
-            lp_feasible(LPProblem(A=A, b=b), warm=warm)
-            if warm._inverse is None:
-                continue
-            owner, basis, Binv = warm._inverse
-            assert owner is A and np.array_equal(basis, warm.basis)
-            want = np.linalg.inv(warm._scaled[1][:, warm.basis])
-            assert Binv.tobytes() == want.tobytes()
-            checked += 1
+            lp_feasible(lp, b)
+            want = np.linalg.inv(lp.M[:, lp.basis])
+            assert lp.Binv.tobytes() == want.tobytes()
+            checked += np.any(lp.basis < A.shape[1])
     assert checked > 300
-
-
-def _factor_spy(monkeypatch):
-    """Record the B^-1 each call hands _factor and the basis it starts on."""
-    seen = []
-    factor = cfwpt.lp._factor
-
-    def spy(M, basis, Binv=None):
-        out = factor(M, basis, Binv)
-        seen.append((Binv, out[0].copy()))
-        return out
-
-    monkeypatch.setattr(cfwpt.lp, "_factor", spy)
-    return seen
-
-
-def test_carried_inverse_only_for_its_own_basis_and_A(monkeypatch):
-    """The carried B^-1 is reused on the same A and basis only: a basis
-    set by hand, or a new A with the same entries, is factored afresh."""
-    A = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-    seen = _factor_spy(monkeypatch)
-    warm = WarmStart()
-    lp_feasible(LPProblem(A=A, b=np.array([-1.0, 1.0, 1.0])), warm=warm)
-    Binv = warm._inverse[2]
-    lp_feasible(LPProblem(A=A, b=np.array([-1.5, 1.0, 1.0])), warm=warm)
-    assert seen[-1][0] is Binv
-    warm.basis = warm.basis[::-1].copy()
-    lp_feasible(LPProblem(A=A, b=np.array([-1.2, 1.0, 1.0])), warm=warm)
-    assert seen[-1][0] is None
-    lp_feasible(LPProblem(A=A.copy(), b=np.array([-1.1, 1.0, 1.0])), warm=warm)
-    assert seen[-1][0] is None
-    assert warm._inverse is not None
 
 
 def test_raising_call_leaves_no_inverse(monkeypatch):
     """A call that stops at the pivot cap after updating B^-1 in place
-    leaves no inverse behind, and the next call gets the cold verdict."""
+    leaves the all-slack basis behind, not its half-updated B^-1, and
+    the next call gets the cold verdict."""
     A = np.vstack([-np.eye(3), np.ones((1, 3))])
-    warm = WarmStart()
-    lp_feasible(LPProblem(A=A, b=np.array([-1.0, 0.0, 0.0, 4.0])), warm=warm)
-    assert warm._inverse is not None and warm.pivots == 1
+    lp = FeasibilityLP(A)
+    lp_feasible(lp, np.array([-1.0, 0.0, 0.0, 4.0]))
+    assert lp.pivots == 1 and np.any(lp.basis < 3)
     b = np.array([-1.0, -1.0, -1.0, 4.0])
     # One pivot allowed: the call updates B^-1 once, then raises.
     monkeypatch.setattr(cfwpt.lp, "PIVOT_CAP_FACTOR", 1 / (10 + 2 * 4 + 3))
     with pytest.raises(SimplexIterationError):
-        lp_feasible(LPProblem(A=A, b=b), warm=WarmStart())
+        lp_feasible(FeasibilityLP(A), b)
     with pytest.raises(SimplexIterationError):
-        lp_feasible(LPProblem(A=A, b=b), warm=warm)
-    assert warm._inverse is None
-    assert warm.pivots == 1
+        lp_feasible(lp, b)
+    assert np.array_equal(lp.basis, 3 + np.arange(4))
+    assert np.array_equal(lp.Binv, np.eye(4))
+    assert lp.pivots == 1
     monkeypatch.undo()
-    _check_point(A, b, lp_feasible(LPProblem(A=A, b=b), warm=warm))
-    assert warm.pivots == 3
+    cold = FeasibilityLP(A)
+    _check_point(A, b, lp_feasible(cold, b))
+    _check_point(A, b, lp_feasible(lp, b))
+    assert lp.pivots == 1 + cold.pivots
 
 
 def test_carried_inverse_above_max_inverse_restarts(monkeypatch):
     """A carried B^-1 with an entry above MAX_INVERSE gives way to the
-    all-slack basis, as a freshly factored one does."""
+    all-slack basis: a need the carried basis meets without a pivot
+    costs the pivot a cold start needs."""
     A = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-    warm = WarmStart()
-    lp_feasible(LPProblem(A=A, b=np.array([-1.0, 1.0, 1.0])), warm=warm)
-    assert np.any(warm.basis < 2) and np.abs(warm._inverse[2]).max() > 0.5
-    seen = _factor_spy(monkeypatch)
+    b = np.array([-0.5, 1.0, 1.0])
+    carried, restarted = FeasibilityLP(A), FeasibilityLP(A)
+    for lp in (carried, restarted):
+        lp_feasible(lp, np.array([-1.0, 1.0, 1.0]))
+    assert np.any(carried.basis < 2) and np.abs(carried.Binv).max() > 0.5
+    _check_point(A, b, lp_feasible(carried, b))
+    assert carried.pivots == 1
     monkeypatch.setattr(cfwpt.lp, "MAX_INVERSE", 0.5)
-    x = lp_feasible(LPProblem(A=A, b=np.array([-1.5, 1.0, 1.0])), warm=warm)
-    _check_point(A, np.array([-1.5, 1.0, 1.0]), x)
-    carried, start = seen[-1]
-    assert carried is not None
-    assert np.array_equal(start, 2 + np.arange(3))
+    _check_point(A, b, lp_feasible(restarted, b))
+    assert restarted.pivots == 2

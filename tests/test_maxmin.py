@@ -11,7 +11,7 @@ from cfwpt.cli import _setup_rng, build_drop
 from cfwpt.config import ScenarioConfig, load_config
 from cfwpt.estimation import build_cache
 from cfwpt.geometry import PropagationModel
-from cfwpt.lp import LPProblem, WarmStart, lp_feasible
+from cfwpt.lp import FeasibilityLP, lp_feasible
 from cfwpt import maxmin
 from cfwpt.maxmin import (
     CUT_RTOL,
@@ -106,9 +106,9 @@ def test_lp_layout(monkeypatch):
     # margin and the unit AP budgets; only b depends on t.
     posed = []
 
-    def spy(lp, warm):
-        posed.append(lp)
-        return lp_feasible(lp, warm=warm)
+    def spy(lp, b):
+        posed.append((lp, b))
+        return lp_feasible(lp, b)
 
     monkeypatch.setattr(maxmin, "lp_feasible", spy)
     energy_lp = maxmin._EnergyLP(cache, table, cfg)
@@ -116,14 +116,14 @@ def test_lp_layout(monkeypatch):
     for t in (0.0, 1e-3, 2e-3):
         eta, = minimum_uplink_powers([t], terms)
         energy_lp.run([t], terms)
-        lp = posed[-1]
+        lp, b = posed[-1]
+        assert lp is energy_lp.lp
         assert np.array_equal(lp.A, A)
-        assert lp.A is posed[0].A
         need = cfg.tau_p * cfg.rho_p + cfg.tau_u * eta
-        assert np.allclose(lp.b[:K], -(1.0 + ENERGY_MARGIN) * need,
+        assert np.allclose(b[:K], -(1.0 + ENERGY_MARGIN) * need,
                            rtol=1e-15, atol=0.0)
-        assert np.all(lp.b[K:] == 1.0)
-        assert np.array_equal(lp.b, _posed_b(t, terms, cfg))
+        assert np.all(b[K:] == 1.0)
+        assert np.array_equal(b, _posed_b(t, terms, cfg))
     assert len(posed) == 3
 
 
@@ -500,6 +500,34 @@ def _budget_shortfall(res, cache, se, cfg):
     return float(ap.max()), float(np.max((need - earned) / need))
 
 
+@given(st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=4),
+       st.data())
+def test_solved_results_are_certified_property(L, K, N, data):
+    """On small random drops every solved result meets the AP budgets
+    and pays its pilot and uplink energy from its harvest, each feasible
+    probe certifies at least its target, and the SE is the SINR's."""
+    tau_p = data.draw(st.integers(min_value=1, max_value=K), label="tau_p")
+    seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1),
+                     label="seed")
+    cfg = ScenarioConfig(L=L, K=K, N=N, tau_p=tau_p, tau_u=175 - tau_p,
+                         rho_d=1.0)
+    stats, cache, se = build_drop(cfg, PropagationModel(),
+                                  np.random.default_rng(seed))
+    res = solve_maxmin(stats, cache, se, cfg, eps=1e-4)
+    assert res.status in ("solved", "infeasible_at_zero")
+    if res.status != "solved":
+        return
+    ap, energy = _budget_shortfall(res, cache, se, cfg)
+    assert ap <= 1e-12 and energy <= 1e-12
+    for t, feasible, certified in res.trace:
+        if feasible:
+            assert certified >= t * (1.0 - 1e-9)
+    assert np.array_equal(res.per_ue_se,
+                          spectral_efficiency(res.per_ue_sinr, cfg))
+
+
 @pytest.mark.parametrize("seed, drop, zero", [(1908044596, 2, False),
                                               (81740114, 3, True)])
 def test_solved_allocations_meet_both_budgets(seed, drop, zero):
@@ -581,9 +609,9 @@ def _spy_probes(monkeypatch):
     def spy(self, ts, terms):
         lp, posed, start = maxmin.lp_feasible, [], len(self.cut_h)
 
-        def lp_spy(problem, warm):
-            posed.append((problem.b, len(self.cut_h)))
-            return lp(problem, warm=warm)
+        def lp_spy(problem, b):
+            posed.append((b, len(self.cut_h)))
+            return lp(problem, b)
 
         maxmin.lp_feasible = lp_spy
         try:
@@ -623,9 +651,9 @@ def test_warm_verdicts_match_cold_solves(make, monkeypatch):
     cfg, eps, (stats, cache, se) = make()
     posed = []
 
-    def spy(lp, warm):
-        x = lp_feasible(lp, warm=warm)
-        posed.append((lp, x is not None))
+    def spy(lp, b):
+        x = lp_feasible(lp, b)
+        posed.append((lp.A, b, x is not None))
         return x
 
     monkeypatch.setattr(maxmin, "lp_feasible", spy)
@@ -634,15 +662,15 @@ def test_warm_verdicts_match_cold_solves(make, monkeypatch):
     assert res.status == "solved" and len(res.trace) > 20
     assert res.lp_calls == len(posed)
     cold_pivots = 0
-    for lp, warm_verdict in posed:
-        cold = WarmStart()
-        assert (lp_feasible(lp, warm=cold) is not None) == warm_verdict
+    for A, b, warm_verdict in posed:
+        cold = FeasibilityLP(A)
+        assert (lp_feasible(cold, b) is not None) == warm_verdict
         cold_pivots += cold.pivots
     assert res.lp_pivots < cold_pivots / 2
-    settled = [LPProblem(A=e.A, b=b) for e, b, by_cut, *_ in calls if by_cut]
+    settled = [(e.lp.A, b) for e, b, by_cut, *_ in calls if by_cut]
     assert settled
-    for lp in settled:
-        assert lp_feasible(lp, warm=WarmStart()) is None
+    for A, b in settled:
+        assert lp_feasible(FeasibilityLP(A), b) is None
 
 
 def _exact_cut_excess(y, need, energy):
@@ -688,7 +716,7 @@ def test_energy_cuts_are_exact(monkeypatch):
         assert fired
         for y in fired:
             assert _exact_cut_excess(y, need, energy_lp.energy) > 0
-        assert not oracle_feasible(energy_lp.A, b)
+        assert not oracle_feasible(energy_lp.lp.A, b)
     assert settled > 100
 
 
@@ -722,14 +750,15 @@ def test_reference_seed_2_drop_6_first_probe_is_certified():
     its row of B^-1, drift rather than a true entry, once left a
     singular basis; confirming it fell back to the slack basis and the
     same pivots replayed up to the pivot cap.  Now the verdict is
-    infeasible and warm.farkas is a Farkas certificate, up to rounding
-    of 1e-12 relative to the sums in y A."""
+    infeasible and energy_lp.lp.farkas is a Farkas certificate, up to
+    rounding of 1e-12 relative to the sums in y A."""
     cfg, (stats, cache, se) = _reference_seed_2_drop_6()
     energy_lp = maxmin._EnergyLP(cache, energy_coefficient_table(se, cfg), cfg)
     terms = sinr_terms(np.ones((cfg.K, cfg.L), dtype=complex), se)
     t = 0.5 * upper_bound_tmax(se, cache, stats, cfg)
     assert energy_lp.run([t], terms)[1] is None and energy_lp.lp_calls == 1
-    y, A, b = energy_lp.warm.farkas, energy_lp.A, _posed_b(t, terms, cfg)
+    y, A = energy_lp.lp.farkas, energy_lp.lp.A
+    b = _posed_b(t, terms, cfg)
     assert A.shape == (36, 320)
     assert np.all(y >= 0.0)
     assert np.all(y @ A >= -1e-12 * (y @ np.abs(A)))
