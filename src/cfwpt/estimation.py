@@ -43,38 +43,40 @@ class EstimationCache:
 
 
 def build_cache(stats, cfg):
-    """Gram factors per link from one K x K Woodbury solve per (pilot, AP).
+    """Gram factors per link from one g x g Woodbury solve per (pilot, AP).
 
-    With M a pilot's 0/1 member mask and H = Gbar^H Gbar at AP l, the
-    solve is Y = A^-1 M H with A = c I + rho_p tau_p M H M; Psi^-1 U =
-    U A^-1 gives gbar_m^H Psi^-1 gbar_k = conj(Y[k, m]) for members k.
-    Raises numpy.linalg.LinAlgError unless every c > 0, which makes
-    every Psi positive definite.
-    """
-    K, _, N = stats.gbar.shape
+    With M a pilot's 0/1 member mask and H = Gbar^H Gbar at AP l, Y =
+    A^-1 M H with A = c I + rho_p tau_p M H M is zero outside the rows of
+    the g members (a ghost UE with a zero Gram row pads a smaller pilot);
+    Psi^-1 U = U A^-1 gives gbar_m^H Psi^-1 gbar_k = conj(Y[k, m]) for
+    members k.  Raises numpy.linalg.LinAlgError unless every c > 0."""
+    K, L, N = stats.gbar.shape
     rho_tau = cfg.rho_p * cfg.tau_p
     pilot_of, beta = stats.pilot_of, stats.beta
-    member = (np.arange(cfg.tau_p)[:, None] == pilot_of).astype(float)
+    member = np.arange(cfg.tau_p)[:, None] == pilot_of      # (tau_p, K)
     c = cfg.sigma2 + rho_tau * (member @ beta)              # (tau_p, L)
     if not np.all(c > 0.0):
         raise np.linalg.LinAlgError(f"Psi not positive definite: c = {c.min()}")
-    g = stats.gbar.transpose(1, 0, 2)
-    gram = g.conj() @ g.transpose(0, 2, 1)                  # (L, K, K)
-    mh = member[:, None, :, None] * gram                    # (tau_p, L, K, K)
-    y = np.linalg.solve(rho_tau * mh * member[:, None, None, :]
-                        + c[..., None, None] * np.eye(K), mh)
-    # diag(H - rho_tau H M Y) / c and tr(Psi^-1) = (N - rho_tau tr Y) / c.
-    own = (np.einsum("lmm->lm", gram).real - rho_tau * np.einsum(
-        "tlim,tlim->tlm", mh.conj(), y).real) / c[..., None]
-    tr_psi_inv = ((N - rho_tau * np.einsum("tlii->tl", y).real) / c)[pilot_of]
-    cross = y[pilot_of, :, np.arange(K), :].conj().transpose(0, 2, 1)
+    slot = np.cumsum(member, axis=1)[pilot_of, np.arange(K)] - 1  # k's row
+    idx = np.full((cfg.tau_p, slot.max() + 1), K)           # K: the ghost
+    idx[pilot_of, slot] = np.arange(K)
+    g = np.concatenate([stats.gbar, np.zeros((1, L, N))]).transpose(1, 0, 2)
+    gram = g.conj() @ g.transpose(0, 2, 1)                  # (L, K+1, K+1)
+    y = np.linalg.solve(rho_tau * gram[:, idx[:, :, None], idx[:, None, :]]
+                        + c.T[..., None, None] * np.eye(idx.shape[1]),
+                        gram[:, idx])                       # (L, tau_p, g, K+1)
+    cross = y[:, pilot_of, slot, :K].conj().transpose(1, 2, 0)
+    gram = gram[:, :K, :K].transpose(1, 2, 0)
     g_kk = np.einsum("kkl->kl", cross).real
+    # own = diag(H - rho_tau H M Y) / c and tr Psi^-1 = (N - rho_tau tr Y) / c.
+    hy = (member @ (gram * cross).real.reshape(K, -1)).reshape(-1, K, L)
+    own = (np.einsum("mml->ml", gram).real - rho_tau * hy) / c[:, None, :]
+    tr_psi_inv = ((N - rho_tau * (member @ g_kk)) / c)[pilot_of]
     # tr(R Psi^-1 R) = g_kk (|gbar|^2 + 2 beta) + beta^2 tr(Psi^-1).
-    tr_rhat = rho_tau * (g_kk * (np.einsum("lkk->kl", gram).real + 2.0 * beta)
+    tr_rhat = rho_tau * (g_kk * (np.einsum("kkl->kl", gram).real + 2.0 * beta)
                          + beta ** 2 * tr_psi_inv)
     return EstimationCache(
-        gram=gram.transpose(1, 2, 0), cross=cross,
-        own=own[pilot_of].transpose(0, 2, 1), tr_psi_inv=tr_psi_inv,
+        gram=gram, cross=cross, own=own[pilot_of], tr_psi_inv=tr_psi_inv,
         tr_rhat=tr_rhat, stats=stats, cfg=cfg)
 
 

@@ -179,29 +179,26 @@ class _EnergyLP:
 
 
 def optimal_lsfd(eta, se):
-    """SINR-maximizing fusion weights a_k = (sum_m eta_m C_km + D_k)^-1 b_k.
-
-    Raises numpy.linalg.LinAlgError if some system is not positive
-    definite.
-    """
+    """SINR-maximizing fusion weights a_k = (sum_m eta_m C_km + D_k)^-1 b_k;
+    raises numpy.linalg.LinAlgError if some system is not positive definite."""
     return _decoding_weights(np.broadcast_to(eta, se.second.shape[:2]), se)
 
 
 def _decoding_weights(w, se):
-    """Solve (sum_m w_km C_km + diag D_k) a_k = b_k for every UE k.
-
-    The K matrices are formed from the factors of C: a batched product
-    for the co-pilot rank-one terms plus a diagonal.  A stacked Cholesky
-    checks that they are positive definite, then one stacked solve gives
-    the weights.
-    """
-    M = (w[..., None] * se.u).swapaxes(1, 2) @ se.u_conj
-    idx = np.arange(se.D.shape[1])
-    M[:, idx, idx] += (w[:, None, :] @ se.same_ap)[:, 0] + se.D
-    np.linalg.cholesky(M)
-    # The explicit trailing axis keeps b a stack of vectors under both
-    # numpy 1.x and 2.x broadcasting rules.
-    return np.linalg.solve(M, se.b_complex[..., None])[..., 0]
+    """Solve M_k a_k = b_k, M_k = sum_m w_km C_km + diag D_k, for every UE k by
+    Woodbury, a_k = D^-1 b - D^-1 V W (I + V^H D^-1 V W)^-1 V^H D^-1 b,
+    with V = u[pick] and W = diag(w[pick]) >= 0 (SEStatistics.copilots):
+    a g x g solve.  LinAlgError unless d > 0, making M_k positive definite."""
+    pick, v, v_conj = se.copilots
+    d = (w[:, None, :] @ se.same_ap)[:, 0] + se.D
+    if not d.min() > 0.0:      # also catches NaN
+        raise np.linalg.LinAlgError(f"LSFD diagonal min {d.min()} <= 0")
+    vhd = v_conj / d[:, None, :]                    # rows of V^H D^-1
+    wv = w[pick][..., None] * v
+    # A trailing axis keeps b a stack of vectors in numpy 1.x and 2.x.
+    z = np.linalg.solve(vhd @ wv.swapaxes(1, 2) + np.eye(v.shape[1]),
+                        vhd @ se.b_complex[..., None])
+    return (se.b - (z.swapaxes(1, 2) @ wv)[:, 0]) / d
 
 
 def upper_bound_tmax(se, cache, stats, cfg):

@@ -31,7 +31,7 @@ class SEStatistics:
     Cross-AP correlation survives only through a shared pilot, so
     C_km = E{ghat_k^H g_m g_m^H ghat_k} is u_km u_km^H with its diagonal
     set to second_km.  The solver's per-drop constants same_ap = second -
-    |u|^2 (C_km's diagonal past u u^H), u_conj and b_complex = b + 0j
+    |u|^2 (C_km's diagonal past u u^H), b_complex = b + 0j and copilots
     are formed once, on first use.
     """
 
@@ -41,8 +41,18 @@ class SEStatistics:
     D: np.ndarray        # (K, L) real
 
     same_ap = cached_property(lambda self: self.second - np.abs(self.u) ** 2)
-    u_conj = cached_property(lambda self: self.u.conj())
     b_complex = cached_property(lambda self: self.b + 0j)
+
+    @cached_property
+    def copilots(self):
+        """(pick, v, v_conj): w[pick] takes from row k of a (K, K) array
+        the g entries at k's co-pilots m (u_km != 0), filled up with zero
+        columns of u_k; v = u[pick], (K, g, L)."""
+        nonzero = np.any(self.u != 0.0, axis=2)
+        count = nonzero.sum(axis=1, keepdims=True)
+        take = nonzero | (np.cumsum(~nonzero, axis=1) <= count.max() - count)
+        pick = tuple(i.reshape(len(take), -1) for i in np.nonzero(take))
+        return pick, self.u[pick], self.u[pick].conj()
 
     @property
     def C(self):

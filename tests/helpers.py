@@ -2,6 +2,7 @@
 Monte Carlo references, an exact LP oracle and a one-target-at-a-time
 bisection."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -41,6 +42,21 @@ def synthetic_stats(L, K, N, tau_p, seed, **overrides):
     return cfg, stats
 
 
+def pilot_layouts():
+    """{name: (cfg, stats)} for the pilot layouts that no shipped config
+    has (every one has K divisible by tau_p): a last pilot with fewer
+    UEs, a pilot that no UE uses, one pilot for all K UEs, and one
+    pilot per UE."""
+    cfg, stats = synthetic_stats(L=3, K=5, N=3, tau_p=3, seed=32)
+    unused = dataclasses.replace(stats, pilot_of=np.array([0, 2, 0, 2, 2]))
+    return {
+        "K % tau_p != 0": synthetic_stats(L=3, K=7, N=3, tau_p=3, seed=31),
+        "unused pilot": (cfg, unused),
+        "tau_p = 1": synthetic_stats(L=3, K=5, N=3, tau_p=1, seed=33),
+        "tau_p = K": synthetic_stats(L=3, K=5, N=3, tau_p=5, seed=34),
+    }
+
+
 # Dense per-link references, rebuilt from the statistics with N x N
 # matrices and independently of the estimation code.
 
@@ -73,6 +89,21 @@ def direct_rhat(stats, cfg):
     """rho_p tau_p R Psi^-1 R per link."""
     return (cfg.rho_p * cfg.tau_p * dense_covariance(stats)
             @ dense_psi_inv_r(stats, cfg))
+
+
+def dense_cache(stats, cfg):
+    """{field: array} of estimation.EstimationCache from the N x N Psi:
+    gram gbar_kl^H gbar_ml, cross gbar_ml^H Psi_kl^-1 gbar_kl, own
+    gbar_ml^H Psi_kl^-1 gbar_ml, tr_psi_inv and tr_rhat."""
+    g = stats.gbar
+    psi_inv = np.linalg.inv(rebuilt_psi(stats, cfg))
+    return {
+        "gram": np.einsum("kla,mla->kml", g.conj(), g),
+        "cross": np.einsum("mla,klab,klb->kml", g.conj(), psi_inv, g),
+        "own": np.einsum("mla,klab,mlb->kml", g.conj(), psi_inv, g).real,
+        "tr_psi_inv": np.einsum("klaa->kl", psi_inv).real,
+        "tr_rhat": np.einsum("klaa->kl", direct_rhat(stats, cfg)).real,
+    }
 
 
 def dense_lsfd(stats, cfg):

@@ -17,10 +17,12 @@ from cfwpt.geometry import (
 from cfwpt.wit import lsfd_statistics
 
 from helpers import (
+    dense_cache,
     dense_covariance,
     dense_lsfd,
     direct_rhat,
     einsum_lmmse_estimate,
+    pilot_layouts,
     rebuilt_psi,
     synthetic_stats,
 )
@@ -164,6 +166,33 @@ def test_error_covariance_psd():
         for l in range(2):
             w = np.linalg.eigvalsh(R[k, l] - cache.Rhat[k, l])
             assert w.min() >= -1e-10 * max(w.max(), 1.0)
+
+
+@pytest.mark.parametrize("layout", list(pilot_layouts()))
+def test_cache_matches_dense_oracle_on_every_pilot_layout(layout):
+    """The per-pilot blocks, ghost padding included, give every cache
+    field of the N x N oracle."""
+    cfg, stats = pilot_layouts()[layout]
+    cache = build_cache(stats, cfg)
+    for name, want in dense_cache(stats, cfg).items():
+        gap = np.max(np.abs(getattr(cache, name) - want))
+        assert gap <= 1e-10 * np.max(np.abs(want)), name
+
+
+def test_large_network_cross_matches_dense_oracle_per_slice():
+    """Drop 2 of configs/large_network.cfg at seed 1 (L = 64, K = 40):
+    every slice cross[k, :, l] matches the N x N oracle to 1e-12 of its
+    largest entry.  Its smallest entries sit far below that scale, for
+    example cross[22, 23, 38] at 7e-7 of its slice's largest, so their
+    own relative error reflects rounding at the slice's scale."""
+    cfg, prop = load_config(CONFIGS / "large_network.cfg")
+    rng, _ = _setup_rng(1, 2)
+    stats = draw_link_statistics(place_network(cfg, rng), prop, cfg, rng)
+    cross = build_cache(stats, cfg).cross
+    want = dense_cache(stats, cfg)["cross"]
+    scale = np.abs(want).max(axis=1, keepdims=True)
+    assert np.abs(want[22, 23, 38]) < 1e-6 * scale[22, 0, 38]
+    assert np.all(np.abs(cross - want) <= 1e-12 * scale)
 
 
 def test_build_cache_rejects_not_positive_definite():

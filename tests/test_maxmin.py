@@ -34,6 +34,7 @@ from helpers import (
     direct_rhat,
     least_powers,
     oracle_feasible,
+    pilot_layouts,
     sequential_bisection,
     synthetic_stats,
 )
@@ -310,6 +311,50 @@ def test_optimal_lsfd_rejects_not_positive_definite():
     D[1, 0] = -1e6
     with pytest.raises(np.linalg.LinAlgError):
         optimal_lsfd(np.full(3, 0.5), dataclasses.replace(se, D=D))
+
+
+def _dense_weights(w, se):
+    """(sum_m w_km C_km + diag D_k)^-1 b_k per UE from the dense C."""
+    m = np.einsum("km,kmlv->klv", w, se.C) \
+        + se.D[:, :, None] * np.eye(se.D.shape[1])
+    return np.linalg.solve(m, se.b[..., None] + 0j)[..., 0]
+
+
+def _assert_weights_close(a, want):
+    gap = np.max(np.abs(a - want), axis=1)
+    assert np.all(gap <= 1e-10 * np.max(np.abs(want), axis=1))
+
+
+@pytest.mark.parametrize("layout", list(pilot_layouts()))
+def test_optimal_lsfd_matches_dense_solve_on_every_pilot_layout(layout):
+    cfg, stats = pilot_layouts()[layout]
+    se = lsfd_statistics(build_cache(stats, cfg), stats, cfg)
+    eta = np.random.default_rng(cfg.K).uniform(0.1, 2.0, size=cfg.K)
+    _assert_weights_close(optimal_lsfd(eta, se),
+                          _dense_weights(np.broadcast_to(eta, (cfg.K,) * 2),
+                                         se))
+
+
+def test_isolation_weights_match_dense_solve():
+    """upper_bound_tmax weighs each UE's own C_kk alone, w = diag(eta),
+    and some eta are zero."""
+    cfg, stats, cache, se = _instance(seed=93, L=4, K=6, N=2, tau_p=2)
+    w = np.diag([0.0, 0.7, 0.0, 1.3, 0.2, 0.0])
+    _assert_weights_close(maxmin._decoding_weights(w, se),
+                          _dense_weights(w, se))
+
+
+def test_optimal_lsfd_rejects_zero_noise_without_weight():
+    """A zero D entry leaves its system singular when no weight adds to
+    the diagonal there."""
+    cfg, stats, cache, se = _instance(seed=94)
+    D = se.D.copy()
+    D[0, 1] = 0.0
+    se = dataclasses.replace(se, D=D)
+    with pytest.raises(np.linalg.LinAlgError):
+        optimal_lsfd(np.zeros(3), se)
+    with pytest.raises(np.linalg.LinAlgError):
+        maxmin._decoding_weights(np.diag([0.0, 0.5, 0.5]), se)
 
 
 def test_optimal_lsfd_single_ap_is_positive_scalar():
