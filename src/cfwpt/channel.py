@@ -2,7 +2,7 @@
 
 This is the Monte Carlo substrate the closed-form expressions are
 validated against.  Sampling supports an optional batch axis, stored
-last, and draw_estimates feeds both oracles MC_BATCH blocks at a time.
+last, and monte_carlo feeds each batch of MC_BATCH blocks to every oracle.
 """
 
 from __future__ import annotations
@@ -58,9 +58,8 @@ def draw_estimates(stats, cfg, mc_samples, rng):
     """Yield (g, ghat) batches of joint channel and estimate draws.
 
     Each batch of at most MC_BATCH blocks draws the realizations, then
-    their pilot observations, from rng; a consumer that draws more
-    (energy symbols) before asking for the next batch keeps that order.
-    g and ghat have shape (batch, K, L, N), stored batch-last.
+    their pilot observations, from rng.  g and ghat have shape
+    (batch, K, L, N), stored batch-last.
     """
     done = 0
     while done < mc_samples:
@@ -69,6 +68,22 @@ def draw_estimates(stats, cfg, mc_samples, rng):
         yield g, lmmse_estimate(sample_pilot_observation(g, stats, cfg, rng),
                                 stats, cfg)
         done += n
+
+
+def monte_carlo(stats, cfg, mc_samples, rng, *blocks):
+    """One pass of draw_estimates, each batch fed to every block in turn.
+
+    block(g, ghat_c, rng) takes the batch-last g and conj(ghat), may draw
+    more from rng (the energy symbols) before the next batch, and returns
+    (sum, sum of |.|^2) pairs over the batch.  Returns, per block, the
+    mean_and_stderr of each pair over all mc_samples draws.
+    """
+    per_batch = []
+    for g, ghat in draw_estimates(stats, cfg, mc_samples, rng):
+        g, ghat = np.moveaxis(g, 0, -1), np.moveaxis(ghat, 0, -1).conj()
+        per_batch.append([block(g, ghat, rng) for block in blocks])
+    return [[mean_and_stderr(*map(sum, zip(*pair)), mc_samples)
+             for pair in zip(*parts)] for parts in zip(*per_batch)]
 
 
 def mean_and_stderr(total, total_sq, mc_samples):

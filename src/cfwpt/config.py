@@ -63,8 +63,8 @@ class ScenarioConfig:
             raise ConfigError(f"mu = {self.mu} outside [0, 1]")
         if self.ap_placement not in ("grid", "random"):
             raise ConfigError(f"unknown ap_placement {self.ap_placement!r}")
-        if self.mc_samples < 1 or self.seed < 0:
-            raise ConfigError("mc_samples must be >= 1 and seed >= 0")
+        if self.mc_samples < 2 or self.seed < 0:
+            raise ConfigError("mc_samples must be >= 2 and seed >= 0")
 
 
 # One parser per ScenarioConfig field, read off its annotation.

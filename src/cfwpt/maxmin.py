@@ -106,7 +106,7 @@ def build_feasibility_lp(cache, energy_coef, cfg):
     budget spent on UE i.  Rows 0..K-1: -E_k q <= -(1 + ENERGY_MARGIN)
     need_k, where E_k q is UE k's harvest and need_k = tau_p rho_p +
     tau_u eta_k.  Rows K..K+L-1: sum_i q_il <= 1 at each AP.  Only b
-    depends on the uplink powers eta; _EnergyLP.probe forms it.
+    depends on the uplink powers eta; _EnergyLP.run forms it.
     energy_coef is the (K, K, L) table from energy_coefficient_table.
     """
     K, L = cache.tr_rhat.shape

@@ -11,12 +11,13 @@ validation, estimated from joint Monte Carlo draws.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .channel import draw_estimates, mean_and_stderr
+from .channel import monte_carlo
 
 
 @dataclass(frozen=True)
@@ -120,42 +121,34 @@ def spectral_efficiency(sinr_value, cfg):
     return (cfg.tau_u / cfg.tau_c) * np.log2(1.0 + sinr_value)
 
 
-@dataclass(frozen=True)
-class SEOracleEstimates:
-    b: np.ndarray      # (K, L) complex sample mean
-    b_se: np.ndarray   # (K, L) real standard error
-    C: np.ndarray      # (K, K, L, L) complex sample mean
-    C_se: np.ndarray   # (K, K, L, L) real
-    D: np.ndarray      # (K, L) real sample mean
-    D_se: np.ndarray   # (K, L) real
+# Sample means shaped as SEStatistics' b, C (both complex) and D, each
+# followed by its real standard errors.
+SEOracleEstimates = namedtuple("SEOracleEstimates", "b b_se C C_se D D_se")
+
+
+def se_sums(cfg):
+    """The SE oracle's per-block step, for channel.monte_carlo: the
+    block's (sum, sum of |.|^2) pairs of ghat_kl^H g_kl, the per-AP
+    products ghat_kl^H g_ml g_ml'^H ghat_kl' and sigma^2 ||ghat_kl||^2."""
+    def block(g, ghat_c, rng):
+        # xt[k, m, l] = ghat_kl^H g_ml, draws last; the sums of x_l x_l'^*
+        # and |x_l|^2 |x_l'|^2 are (L, b) @ (b, L) products.
+        xt = ghat_c[:, None, :, 0] * g[None, :, :, 0]
+        for n in range(1, g.shape[2]):
+            xt += ghat_c[:, None, :, n] * g[None, :, :, n]
+        y_b = np.diagonal(xt).transpose(2, 0, 1)            # x_kk
+        y_d = cfg.sigma2 * (ghat_c.real ** 2 + ghat_c.imag ** 2).sum(axis=2)
+        c = xt @ xt.conj().swapaxes(-1, -2)
+        x_sq = np.abs(xt) ** 2
+        return [(y_b.sum(axis=-1), (np.abs(y_b) ** 2).sum(axis=-1)),
+                (c, x_sq @ x_sq.swapaxes(-1, -2)),
+                (y_d.sum(axis=-1), (y_d ** 2).sum(axis=-1))]
+    return block
 
 
 def se_statistics_oracle(stats, cfg, mc_samples, rng):
-    """Monte Carlo estimate of b, C, D from their defining moments.
-
-    Draws joint (channel, estimate) realizations and averages
-    ghat_kl^H g_kl, the per-AP products ghat_kl^H g_ml g_ml'^H ghat_kl'
-    and sigma^2 ||ghat_kl||^2, each with the standard error of
-    channel.mean_and_stderr.
-    """
-    b_sum = b_sq = c_sum = c_sq = d_sum = d_sq = 0.0
-    for g, ghat in draw_estimates(stats, cfg, mc_samples, rng):
-        g, ghat = np.moveaxis(g, 0, -1), np.moveaxis(ghat, 0, -1).conj()
-        # With ghat conjugated, xt[k, m, l] = ghat_kl^H g_ml, draws last; the
-        # sums of x_l x_l'^* and |x_l|^2 |x_l'|^2 are (L, b) @ (b, L) products.
-        xt = ghat[:, None, :, 0] * g[None, :, :, 0]
-        for n in range(1, g.shape[2]):
-            xt += ghat[:, None, :, n] * g[None, :, :, n]
-        y_b = np.diagonal(xt).transpose(2, 0, 1)            # x_kk
-        y_d = cfg.sigma2 * (ghat.real ** 2 + ghat.imag ** 2).sum(axis=2)
-        b_sum += y_b.sum(axis=-1)
-        b_sq += (np.abs(y_b) ** 2).sum(axis=-1)
-        c_sum += xt @ xt.conj().swapaxes(-1, -2)
-        x_sq = np.abs(xt) ** 2
-        c_sq += x_sq @ x_sq.swapaxes(-1, -2)
-        d_sum += y_d.sum(axis=-1)
-        d_sq += (y_d ** 2).sum(axis=-1)
-
-    return SEOracleEstimates(*mean_and_stderr(b_sum, b_sq, mc_samples),
-                             *mean_and_stderr(c_sum, c_sq, mc_samples),
-                             *mean_and_stderr(d_sum, d_sq, mc_samples))
+    """Monte Carlo estimate of b, C, D from their defining moments:
+    se_sums over joint (channel, estimate) draws, each with the standard
+    error of channel.mean_and_stderr."""
+    [(b, C, D)] = monte_carlo(stats, cfg, mc_samples, rng, se_sums(cfg))
+    return SEOracleEstimates(*b, *C, *D)

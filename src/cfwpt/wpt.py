@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import draw_estimates, mean_and_stderr
+from .channel import monte_carlo
 
 
 @dataclass(frozen=True)
@@ -48,26 +48,25 @@ def harvested_energy(p, coef):
     return np.einsum("kil,il->k", coef, np.asarray(p, dtype=float))
 
 
-def harvested_energy_oracle(p, stats, cfg, mc_samples, rng):
-    """Monte Carlo estimate of every UE's harvested energy, from one pass.
-
-    Draws joint (channel, pilot observation, energy symbol) realizations
-    and averages mu tau_d |sum_il sqrt(p_il) ghat_il^H g_kl s_il|^2 for
-    all K UEs on the same draws.  Energy symbols are unit-modulus with
-    uniform phase (zero mean, unit variance, minimal oracle variance).
-    Harvester noise is neglected.
-
-    Returns the (K,) estimates and their (K,) standard errors.
-    """
+def energy_sums(p, cfg):
+    """The energy oracle's block for channel.monte_carlo: draws the energy
+    symbols s_il and sums mu tau_d |sum_il sqrt(p_il) ghat_il^H g_kl s_il|^2
+    for all K UEs.  Harvester noise is neglected."""
     sqrt_p = np.sqrt(np.asarray(p, dtype=float))
-    total = total_sq = 0.0
-    for g, ghat in draw_estimates(stats, cfg, mc_samples, rng):
-        s = np.exp(2j * np.pi * rng.uniform(size=g.shape[:3]))
-        g, ghat = np.moveaxis(g, 0, -1), np.moveaxis(ghat, 0, -1)
+
+    def block(g, ghat_c, rng):
+        # Unit modulus, uniform phase: the least oracle variance.
+        s = np.exp(2j * np.pi * rng.uniform(size=g.shape[-1:] + g.shape[:2]))
         # x[l] = sum_i sqrt(p_il) s_il conj(ghat_il): what AP l radiates.
         w = sqrt_p[..., None] * np.moveaxis(s, 0, -1)
-        r = (g * (w[:, :, None] * ghat.conj()).sum(axis=0)).sum(axis=(1, 2))
+        r = (g * (w[:, :, None] * ghat_c).sum(axis=0)).sum(axis=(1, 2))
         y = cfg.mu * cfg.tau_d * np.abs(r) ** 2
-        total += y.sum(axis=-1)
-        total_sq += (y ** 2).sum(axis=-1)
-    return mean_and_stderr(total, total_sq, mc_samples)
+        return [(y.sum(axis=-1), (y ** 2).sum(axis=-1))]
+    return block
+
+
+def harvested_energy_oracle(p, stats, cfg, mc_samples, rng):
+    """Monte Carlo (K,) harvested energies and their standard errors:
+    energy_sums over joint (channel, pilot observation, energy symbol)
+    draws, every UE on the same draws."""
+    return monte_carlo(stats, cfg, mc_samples, rng, energy_sums(p, cfg))[0][0]

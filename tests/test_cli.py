@@ -11,7 +11,8 @@ import pytest
 
 import cfwpt
 
-from cfwpt import cli
+from cfwpt import channel, cli
+from cfwpt.channel import MC_BATCH, draw_estimates, mean_and_stderr
 from cfwpt.cli import (
     MAX_VALIDATE_SIZE,
     _small_default_config,
@@ -23,7 +24,8 @@ from cfwpt.cli import (
 from cfwpt.config import ScenarioConfig, load_config
 from cfwpt.geometry import PropagationModel
 from cfwpt.lp import SimplexIterationError
-from cfwpt.wpt import harvested_energy
+from cfwpt.wit import lsfd_statistics, se_sums
+from cfwpt.wpt import harvested_energy, harvested_energy_oracle
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -184,6 +186,122 @@ def test_validate_detects_corruption(capsys, monkeypatch):
     assert "validation FAILED" in out
 
 
+def _biased_b(factor, at=...):
+    """An lsfd_statistics whose closed-form b is scaled by factor at the
+    entries `at`, for a validate to catch; the energy table is kept."""
+    def biased(*args):
+        se = lsfd_statistics(*args)
+        b = se.b.copy()
+        b[at] *= factor
+        return replace(se, b=b)
+    return biased
+
+
+def test_validate_detects_corrupted_decoding_statistic(capsys, monkeypatch):
+    """A closed-form b biased by 5% must fail the comparison, on b."""
+    monkeypatch.setattr("cfwpt.cli.lsfd_statistics", _biased_b(1.05))
+    cfg = _small_default_config()
+    code = run_validate(cfg, PropagationModel(), mc_samples=10_000, seed=4)
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "validation FAILED" in out
+    worst = {l.split()[0]: float(l.split()[3]) for l in out.splitlines()
+             if " max|z| = " in l}
+    assert worst["b"] > 3.0
+    assert max(worst["harvested_energy"], worst["C"], worst["D"]) <= 3.0
+
+
+def _spy_z_scores(monkeypatch):
+    """Record (closed, mean, stderr, z) of every z-score validate takes."""
+    calls = []
+    z_scores = cli._z_scores
+
+    def spy(closed, mean, stderr):
+        z = z_scores(closed, mean, stderr)
+        calls.append((closed, mean, stderr, z))
+        return z
+    monkeypatch.setattr(cli, "_z_scores", spy)
+    return calls
+
+
+def _validate_drop(cfg, prop, seed):
+    """validate's drop and generator, at the point its Monte Carlo starts."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    stats, cache, se = cli.build_drop(cfg, prop, rng)
+    return stats, cfg.rho_d / (cfg.K * cache.tr_rhat), rng
+
+
+def test_validate_reports_where_the_worst_z_sits(capsys, monkeypatch):
+    """Each max|z| line is followed by an indented line with the index
+    of that array's worst entry; a b bias planted at one entry is found
+    there.  The new line cannot be read as a max|z| line."""
+    monkeypatch.setattr("cfwpt.cli.lsfd_statistics", _biased_b(1.5, (3, 1)))
+    calls = _spy_z_scores(monkeypatch)
+    run_validate(_small_default_config(), PropagationModel(),
+                 mc_samples=2_000, seed=4)
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 9
+    for i, name in enumerate(("harvested_energy", "b", "C", "D")):
+        z = calls[i][3]
+        at = np.unravel_index(np.argmax(z), z.shape)
+        assert lines[2 * i].startswith(name + " ")
+        assert lines[2 * i + 1] == f"    worst at [{', '.join(map(str, at))}]"
+        assert " max|z| = " not in lines[2 * i + 1]
+    assert lines[3] == "    worst at [3, 1]"
+
+
+def test_validate_energy_equals_standalone_oracle(capsys, monkeypatch):
+    """validate's energy estimate, standard error and z are bitwise those
+    of harvested_energy_oracle on the same drop and generator."""
+    cfg, prop = _small_default_config(), PropagationModel()
+    samples, seed = MC_BATCH + 700, 4     # a short last batch too
+    calls = _spy_z_scores(monkeypatch)
+    run_validate(cfg, prop, samples, seed)
+    stats, p, rng = _validate_drop(cfg, prop, seed)
+    mean, err = harvested_energy_oracle(p, stats, cfg, samples, rng)
+    closed, got_mean, got_err, z = calls[0]
+    assert got_mean.tobytes() == mean.tobytes()
+    assert got_err.tobytes() == err.tobytes()
+    assert z.tobytes() == cli._z_scores(closed, mean, err).tobytes()
+
+
+def test_validate_decoding_statistics_replay_one_stream(capsys, monkeypatch):
+    """validate's b, C and D are se_sums over the energy oracle's stream:
+    draw_estimates with each batch's energy symbols drawn after it."""
+    cfg, prop = _small_default_config(), PropagationModel()
+    samples, seed = MC_BATCH + 700, 4
+    calls = _spy_z_scores(monkeypatch)
+    run_validate(cfg, prop, samples, seed)
+    stats, p, rng = _validate_drop(cfg, prop, seed)
+    block = se_sums(cfg)
+    sums = [(0.0, 0.0)] * 3
+    for g, ghat in draw_estimates(stats, cfg, samples, rng):
+        rng.uniform(size=(g.shape[0], cfg.K, cfg.L))    # energy symbols
+        part = block(np.moveaxis(g, 0, -1), np.moveaxis(ghat, 0, -1).conj(),
+                     rng)
+        sums = [(s + a, q + b) for (s, q), (a, b) in zip(sums, part)]
+    for (_, got_mean, got_err, _), (s, q) in zip(calls[1:], sums):
+        mean, err = mean_and_stderr(s, q, samples)
+        assert got_mean.tobytes() == mean.tobytes()
+        assert got_err.tobytes() == err.tobytes()
+    assert len(calls) == 4
+
+
+def test_validate_draws_each_block_once(capsys, monkeypatch):
+    """One pass: validate asks the channel for mc_samples realizations in
+    all, not one stream per oracle."""
+    sizes = []
+    sample = channel.sample_realization
+
+    def spy(stats, rng, size=None):
+        sizes.append(size)
+        return sample(stats, rng, size=size)
+    monkeypatch.setattr(channel, "sample_realization", spy)
+    run_validate(_small_default_config(), PropagationModel(),
+                 mc_samples=MC_BATCH + 700, seed=4)
+    assert sizes == [MC_BATCH, 700]
+
+
 def test_validate_zero_efficiency_trivially_passes(capsys):
     cfg = replace(_small_default_config(), mu=0.0)
     code = run_validate(cfg, PropagationModel(), mc_samples=2_000, seed=3)
@@ -240,6 +358,7 @@ def test_main_usage_errors(tmp_path, capsys):
 @pytest.mark.parametrize("command, option, value", [
     ("validate", "--mc-samples", "0"),
     ("validate", "--mc-samples", "-5"),
+    ("validate", "--mc-samples", "1"),
     ("optimize", "--setups", "0"),
     ("optimize", "--setups", "-3"),
     ("optimize", "--seed", "-1"),
@@ -247,8 +366,9 @@ def test_main_usage_errors(tmp_path, capsys):
     ("optimize", "--jobs", "0"),
 ])
 def test_main_rejects_bad_counts(command, option, value, tmp_path, capsys):
-    """A count below 1 or a negative seed exits 2 with a message that
-    names the option, before any output is written."""
+    """A count below its floor (1, or 2 Monte Carlo samples, the fewest
+    with a standard error) or a negative seed exits 2 with a message
+    that names the option, before any output is written."""
     out = tmp_path / "out"
     argv = [command]
     if command == "optimize":

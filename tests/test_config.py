@@ -56,6 +56,7 @@ def test_tau_split_must_sum():
         dict(carrier_freq=math.inf),
         dict(height_diff=-1.0),
         dict(height_diff=math.nan),
+        dict(mc_samples=1),
     ],
 )
 def test_validation_rejects(bad):
