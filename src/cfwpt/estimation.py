@@ -95,12 +95,11 @@ def _dense_covariances(stats, cfg):
 def lmmse_estimate(z, stats, cfg):
     """LMMSE channel estimate sqrt(rho_p tau_p) R Psi^-1 z per link.
 
-    z has shape (..., K, L, N); leading axes are Monte Carlo batches,
-    stored last in the estimate.  Dense N x N algebra for the Monte
-    Carlo oracles only, one matmul per link; R Psi^-1 = (Psi^-1 R)^H.
+    z and the estimate have shape (K, L, N, batch).  Dense N x N algebra
+    for the Monte Carlo oracles only, one matmul per link; R Psi^-1 =
+    (Psi^-1 R)^H.
     """
     R, psi = _dense_covariances(stats, cfg)
     w = np.sqrt(cfg.rho_p * cfg.tau_p) * (
         np.linalg.inv(psi)[stats.pilot_of] @ R).conj().swapaxes(-1, -2)
-    zt = np.moveaxis(z.reshape((-1,) + z.shape[-3:]), 0, -1)
-    return np.moveaxis(w @ zt, -1, 0).reshape(z.shape)
+    return w @ z

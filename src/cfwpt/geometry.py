@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -37,19 +36,18 @@ def inh_rician_factor(d):
 
 @dataclass(frozen=True)
 class PropagationModel:
-    """Distance-to-gain model: path loss, shadowing, LOS state, K-factor.
+    """Distance-to-gain model: path loss and shadowing per LOS state.
 
     Path-loss triples (a, b, c) mean a*log10(d_m) + b + c*log10(f_GHz)
     in dB.  Defaults are the standard indoor-hotspot values; everything
-    is overridable via the config file or directly.
+    is overridable via the config file or directly.  The LOS state and
+    K-factor follow inh_los_probability and inh_rician_factor.
     """
 
     pathloss_los: tuple = (16.9, 32.8, 20.0)
     pathloss_nlos: tuple = (43.3, 11.5, 20.0)
     shadow_std_los: float = 3.0    # dB
     shadow_std_nlos: float = 4.0   # dB
-    los_probability: Callable[[float], float] = inh_los_probability
-    rician_factor: Callable[[float], float] = inh_rician_factor
 
     def __post_init__(self):
         for name in ("pathloss_los", "pathloss_nlos"):
@@ -135,7 +133,7 @@ def draw_link_statistics(geom, prop, cfg, rng):
     azimuth = np.arctan2(ue[:, None, 1] - ap[None, :, 1],
                          ue[:, None, 0] - ap[None, :, 0])
 
-    p_los = np.vectorize(prop.los_probability)(dist)
+    p_los = np.vectorize(inh_los_probability)(dist)
     los = rng.uniform(size=(K, L)) < p_los
     shadow = rng.standard_normal((K, L)) * np.where(
         los, prop.shadow_std_los, prop.shadow_std_nlos)
@@ -149,7 +147,7 @@ def draw_link_statistics(geom, prop, cfg, rng):
                      a_nlos * log_d + b_nlos + c_nlos * log_f)
     beta_tot = 10.0 ** (-(pl_db + shadow) / 10.0)
 
-    kappa = np.where(los, np.vectorize(prop.rician_factor)(dist), 0.0)
+    kappa = np.where(los, np.vectorize(inh_rician_factor)(dist), 0.0)
     los_share = kappa / (kappa + 1.0)
 
     steering = np.exp(1j * math.pi * np.arange(N)[None, None, :]

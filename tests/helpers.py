@@ -140,8 +140,8 @@ def ap_transmit_powers(p, cache):
 
 
 # The Monte Carlo contractions in batch-first einsum form, (batch, K, L, N)
-# with the draws on the leading axis.  The package contracts the same
-# draws batch-last; these are the references it is checked against.
+# with the draws on the leading axis.  The package draws and contracts
+# (K, L, N, batch); these are the references it is checked against.
 
 def einsum_lmmse_estimate(z, stats, cfg):
     """sqrt(rho_p tau_p) R Psi^-1 z per link, one einsum over (..., K, L, N)."""
@@ -155,13 +155,15 @@ def einsum_x(ghat, g):
 
 
 def einsum_batches(stats, cfg, mc_samples, rng):
-    """(g, ghat) batches from the package's draws and einsum_lmmse_estimate."""
+    """(g, ghat) batches from the package's draws and einsum_lmmse_estimate,
+    both moved to batch-first (batch, K, L, N)."""
     done = 0
     while done < mc_samples:
         n = min(MC_BATCH, mc_samples - done)
         g = sample_realization(stats, rng, size=n)
         z = sample_pilot_observation(g, stats, cfg, rng)
-        yield g, einsum_lmmse_estimate(z, stats, cfg)
+        yield (np.moveaxis(g, -1, 0),
+               einsum_lmmse_estimate(np.moveaxis(z, -1, 0), stats, cfg))
         done += n
 
 

@@ -276,9 +276,8 @@ def test_validate_decoding_statistics_replay_one_stream(capsys, monkeypatch):
     block = se_sums(cfg)
     sums = [(0.0, 0.0)] * 3
     for g, ghat in draw_estimates(stats, cfg, samples, rng):
-        rng.uniform(size=(g.shape[0], cfg.K, cfg.L))    # energy symbols
-        part = block(np.moveaxis(g, 0, -1), np.moveaxis(ghat, 0, -1).conj(),
-                     rng)
+        rng.uniform(size=(g.shape[-1], cfg.K, cfg.L))   # energy symbols
+        part = block(g, ghat.conj(), rng)
         sums = [(s + a, q + b) for (s, q), (a, b) in zip(sums, part)]
     for (_, got_mean, got_err, _), (s, q) in zip(calls[1:], sums):
         mean, err = mean_and_stderr(s, q, samples)
@@ -293,9 +292,9 @@ def test_validate_draws_each_block_once(capsys, monkeypatch):
     sizes = []
     sample = channel.sample_realization
 
-    def spy(stats, rng, size=None):
+    def spy(stats, rng, size):
         sizes.append(size)
-        return sample(stats, rng, size=size)
+        return sample(stats, rng, size)
     monkeypatch.setattr(channel, "sample_realization", spy)
     run_validate(_small_default_config(), PropagationModel(),
                  mc_samples=MC_BATCH + 700, seed=4)
@@ -331,6 +330,14 @@ def test_main_optimize_and_cdf_round_trip(tmp_path, capsys):
     assert (out / "manifest.json").exists()
     assert main(["cdf", "--out", str(out)]) == 0
     assert "min SE per setup, FPC" in capsys.readouterr().out
+
+
+def test_main_optimize_without_config_uses_defaults(tmp_path, capsys):
+    out = tmp_path / "defaults"
+    assert main(["optimize", "--setups", "1", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"] == "<defaults>"
+    assert [rec["status"] for rec in manifest["records"]] == ["solved"]
 
 
 def test_main_optimize_rejects_nan_power(tmp_path, capsys):

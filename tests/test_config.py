@@ -187,6 +187,14 @@ def test_load_config_rejects_nonfinite_triple(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("line", ["L =", "= 4"])
+def test_load_config_rejects_empty_key_or_value(line, tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"K = 6\n# comment\n{line}\n")
+    with pytest.raises(ConfigError, match="^line 3: empty key or value"):
+        load_config(path)
+
+
 def test_load_config_rejects_missing_equals(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("just words\n")

@@ -66,16 +66,17 @@ def test_scalar_chain():
     assert cache.Rhat[0, 0, 0, 0] == pytest.approx(4.0 / 3.0)
     assert (R - cache.Rhat)[0, 0, 0, 0] == pytest.approx(2.0 / 3.0)
     assert cache.tr_rhat[0, 0] == pytest.approx(4.0 / 3.0)
-    z = np.full((1, 1, 1), 3.0 + 0.0j)
+    z = np.full((1, 1, 1, 1), 3.0 + 0.0j)
     ghat = lmmse_estimate(z, stats, cfg)
-    assert ghat[0, 0, 0] == pytest.approx(2.0)
+    assert ghat[0, 0, 0, 0] == pytest.approx(2.0)
 
 
 def test_estimate_linearity():
     cfg, stats = synthetic_stats(L=2, K=3, N=2, tau_p=2, seed=21)
     rng = np.random.default_rng(0)
-    z1 = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
-    z2 = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+    shape = (3, 2, 2, 1)
+    z1 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    z2 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     lhs = lmmse_estimate(z1 + 2.0 * z2, stats, cfg)
     rhs = lmmse_estimate(z1, stats, cfg) + 2.0 * lmmse_estimate(z2, stats, cfg)
     assert np.allclose(lhs, rhs)
@@ -84,28 +85,30 @@ def test_estimate_linearity():
 def test_estimate_batch_axis():
     cfg, stats = synthetic_stats(L=2, K=3, N=2, tau_p=2, seed=22)
     rng = np.random.default_rng(1)
-    z = rng.standard_normal((5, 3, 2, 2)) + 1j * rng.standard_normal((5, 3, 2, 2))
+    z = rng.standard_normal((3, 2, 2, 5)) + 1j * rng.standard_normal((3, 2, 2, 5))
     batched = lmmse_estimate(z, stats, cfg)
-    assert batched.shape == (5, 3, 2, 2)
-    assert np.allclose(batched[2], lmmse_estimate(z[2], stats, cfg))
+    assert batched.shape == (3, 2, 2, 5)
+    assert np.allclose(batched[..., 2:3], lmmse_estimate(z[..., 2:3], stats, cfg))
 
 
 def test_estimate_matches_batch_first_einsum():
-    """Batch-first z, C-ordered and with two batch axes, against the einsum."""
+    """A C-ordered (K, L, N, batch) z against the batch-first einsum."""
     cfg, stats = synthetic_stats(L=2, K=5, N=3, tau_p=2, seed=24)
     rng = np.random.default_rng(3)
-    z = rng.standard_normal((4, 6, 5, 2, 3)) \
-        + 1j * rng.standard_normal((4, 6, 5, 2, 3))
+    z = rng.standard_normal((5, 2, 3, 24)) \
+        + 1j * rng.standard_normal((5, 2, 3, 24))
     ghat = lmmse_estimate(z, stats, cfg)
     assert ghat.shape == z.shape
-    np.testing.assert_allclose(ghat, einsum_lmmse_estimate(z, stats, cfg),
+    want = einsum_lmmse_estimate(np.moveaxis(z, -1, 0), stats, cfg)
+    np.testing.assert_allclose(ghat, np.moveaxis(want, 0, -1),
                                rtol=1e-12, atol=0)
 
 
 def test_estimate_matches_direct_formula():
     cfg, stats = synthetic_stats(L=2, K=4, N=3, tau_p=2, seed=23)
     rng = np.random.default_rng(2)
-    z = rng.standard_normal((4, 2, 3)) + 1j * rng.standard_normal((4, 2, 3))
+    shape = (4, 2, 3, 1)
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     ghat = lmmse_estimate(z, stats, cfg)
     scale = np.sqrt(cfg.rho_p * cfg.tau_p)
     R = dense_covariance(stats)

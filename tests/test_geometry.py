@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from cfwpt import geometry
 from cfwpt.config import ScenarioConfig
 from cfwpt.geometry import (
     BETA_FLOOR,
@@ -42,9 +43,10 @@ def _pathloss_db(prop, d, los):
     geom = NetworkGeometry(ap_positions=np.zeros((1, 2)),
                            ue_positions=np.column_stack([d, np.zeros_like(d)]),
                            height_diff=0.0)
-    fixed = dataclasses.replace(prop, shadow_std_los=0.0, shadow_std_nlos=0.0,
-                                los_probability=lambda _: float(los))
-    stats = draw_link_statistics(geom, fixed, cfg, np.random.default_rng(0))
+    fixed = dataclasses.replace(prop, shadow_std_los=0.0, shadow_std_nlos=0.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "inh_los_probability", lambda _: float(los))
+        stats = draw_link_statistics(geom, fixed, cfg, np.random.default_rng(0))
     # Every LOS link has a positive K-factor, so a LOS response.
     assert np.all((stats.gbar[:, 0, 0] != 0.0) == los)
     total = stats.beta + np.sum(np.abs(stats.gbar) ** 2, axis=2) / cfg.N
@@ -141,18 +143,20 @@ def test_gain_split_consistency():
     assert np.allclose(los_share[los] / stats.beta[los], kappa[los], rtol=1e-12)
 
 
-def test_nlos_links_have_no_los_component():
+def test_nlos_links_have_no_los_component(monkeypatch):
     cfg = _small_cfg(L=9, K=20)
-    prop = PropagationModel(los_probability=lambda d: 0.0)
+    monkeypatch.setattr(geometry, "inh_los_probability", lambda d: 0.0)
+    prop = PropagationModel()
     geom = place_network(cfg, np.random.default_rng(8))
     stats = draw_link_statistics(geom, prop, cfg, np.random.default_rng(9))
     assert np.all(stats.gbar == 0.0)
     assert np.all(np.isfinite(stats.beta)) and np.all(stats.beta >= BETA_FLOOR)
 
 
-def test_steering_vector_unit_modulus():
+def test_steering_vector_unit_modulus(monkeypatch):
     cfg = _small_cfg()
-    prop = PropagationModel(los_probability=lambda d: 1.0, shadow_std_los=0.0)
+    monkeypatch.setattr(geometry, "inh_los_probability", lambda d: 1.0)
+    prop = PropagationModel(shadow_std_los=0.0)
     geom = place_network(cfg, np.random.default_rng(10))
     stats = draw_link_statistics(geom, prop, cfg, np.random.default_rng(11))
     mags = np.abs(stats.gbar)
@@ -160,10 +164,10 @@ def test_steering_vector_unit_modulus():
     assert np.allclose(mags, mags[:, :, :1])
 
 
-def test_total_gain_decreases_with_distance_without_shadowing():
+def test_total_gain_decreases_with_distance_without_shadowing(monkeypatch):
     cfg = _small_cfg(L=1, K=8, ap_placement="random")
-    prop = PropagationModel(los_probability=lambda d: 1.0,
-                            shadow_std_los=0.0, shadow_std_nlos=0.0)
+    monkeypatch.setattr(geometry, "inh_los_probability", lambda d: 1.0)
+    prop = PropagationModel(shadow_std_los=0.0, shadow_std_nlos=0.0)
     rng = np.random.default_rng(12)
     geom = place_network(cfg, rng)
     stats = draw_link_statistics(geom, prop, cfg, rng)

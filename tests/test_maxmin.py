@@ -494,6 +494,35 @@ def test_solver_certificates_and_trace():
                        res.per_ue_sinr, rtol=1e-9, atol=0.0)
 
 
+def test_solver_closes_bracket_when_a_certificate_does_not_advance(
+        monkeypatch):
+    """A feasible probe whose certificate does not beat t_min closes the
+    bracket from above at that probe's target, and the solve keeps the
+    best certificate.  The second certification is made to repeat the
+    first one's t*."""
+    cfg, stats, cache, se = _instance(seed=81)
+    certify, certs = maxmin._certify, []
+
+    def stalled(alloc, se, cfg):
+        cert, terms = certify(alloc, se, cfg)
+        if len(certs) == 1:
+            cert = dataclasses.replace(cert, t_star=certs[0].t_star)
+        certs.append(cert)
+        return cert, terms
+    monkeypatch.setattr(maxmin, "_certify", stalled)
+    res = solve_maxmin(stats, cache, se, cfg, eps=1e-3)
+    second = [i for i, entry in enumerate(res.trace) if entry[1]][1]
+    t1, t2 = certs[0].t_star, res.trace[second][0]
+    assert t1 < t2 < 2.0 * t1
+    assert res.trace[second][2] == t1
+    # The next probe bisects [t1, t2]: t_max fell to the probe's target.
+    assert res.trace[second + 1][0] == 0.5 * (t1 + t2)
+    assert res.status == "solved" and not res.cap_hit
+    best = max(certs, key=lambda cert: cert.t_star)     # the first of ties
+    assert res.t_star == best.t_star
+    assert res.allocation is best.allocation
+
+
 def test_solver_beats_fixed_baseline():
     cfg, stats, cache, se = _instance(seed=82)
     res = solve_maxmin(stats, cache, se, cfg, eps=1e-4)

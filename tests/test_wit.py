@@ -170,7 +170,7 @@ def test_oracle_c_moments_match_explicit_products():
     c_sq = 0.0
     for g, ghat in draw_estimates(stats, cfg, samples,
                                   np.random.default_rng(8)):
-        x = np.einsum("bkln,bmln->bkml", ghat.conj(), g)
+        x = np.einsum("klnb,mlnb->bkml", ghat.conj(), g)
         v = x[:, :, :, :, None] * x[:, :, :, None, :].conj()
         c_sum += v.sum(axis=0)
         c_sq += (np.abs(v) ** 2).sum(axis=0)

@@ -96,11 +96,11 @@ def test_ap_transmit_power_definition():
     ghat = lmmse_estimate(sample_pilot_observation(g, stats, cfg, rng),
                           stats, cfg)
     s = np.exp(2j * np.pi * rng.uniform(size=(n, 4, 3)))
-    x = np.einsum("kl,bkln,bkl->bln", np.sqrt(p), ghat.conj(), s)
-    radiated = np.sum(np.abs(x) ** 2, axis=2)           # (n, L)
+    x = np.einsum("kl,klnb,bkl->lnb", np.sqrt(p), ghat.conj(), s)
+    radiated = np.sum(np.abs(x) ** 2, axis=1)           # (L, n)
     want = ap_transmit_powers(p, cache)
-    err = radiated.std(axis=0) / np.sqrt(n)
-    assert np.all(np.abs(radiated.mean(axis=0) - want) <= 4.0 * err)
+    err = radiated.std(axis=-1) / np.sqrt(n)
+    assert np.all(np.abs(radiated.mean(axis=-1) - want) <= 4.0 * err)
 
 
 def test_oracle_agrees_with_closed_form():
@@ -141,7 +141,7 @@ def _per_ue_energy_reference(p, stats, cfg, mc_samples, rng):
         ghat = lmmse_estimate(z, stats, cfg)
         s = np.exp(2j * np.pi * rng.uniform(size=(n, K, L)))
         for k in range(K):
-            inner = np.einsum("biln,bln->bil", ghat.conj(), g[:, k])
+            inner = np.einsum("ilnb,lnb->bil", ghat.conj(), g[k])
             r = np.einsum("bil,il,bil->b", inner, np.sqrt(p), s)
             y = cfg.mu * cfg.tau_d * np.abs(r) ** 2
             total[k] += y.sum()
