@@ -54,14 +54,14 @@ class FeasibilityLP:
     """The rows A (m, n) of A x <= b, x >= 0, and the simplex state that
     lp_feasible carries from one right-hand side b to the next.
 
-    M = [A' I] with A' = A scaled to unit max entries, rows first, and
-    MT a C-ordered copy of M^T.  Row scaling keeps the feasible set;
-    column scaling substitutes x' = col_scale x.  basis (m,) names the
-    column of M basic in each row: j < n is variable j, n + i the slack
-    of row i; Binv is its inverse as factored, not updated.  farkas
-    (m,) is the row of B^-1 that certified the last infeasible verdict,
-    in A's row units: y >= 0, y A >= 0 and y b < 0 up to rounding (None
-    after a feasible one).  pivots counts pivots over all calls.
+    M = [A' I] with A' = A scaled to unit max entries, rows first.  Row
+    scaling keeps the feasible set; column scaling substitutes x' =
+    col_scale x.  basis (m,) names the column of M basic in each row:
+    j < n is variable j, n + i the slack of row i; Binv is its inverse
+    as factored, not updated.  farkas (m,) is the row of B^-1 that
+    certified the last infeasible verdict, in A's row units: y >= 0,
+    y A >= 0 and y b < 0 up to rounding (None after a feasible one).
+    pivots counts pivots over all calls.
     """
 
     def __init__(self, A):
@@ -72,7 +72,6 @@ class FeasibilityLP:
         col_scale = np.max(np.abs(A), axis=0, initial=0.0)
         col_scale[col_scale == 0.0] = 1.0
         self.M = np.hstack([A / col_scale, np.eye(A.shape[0])])
-        self.MT = np.ascontiguousarray(self.M.T)
         self.row_scale, self.col_scale = row_scale, col_scale
         self.basis, self.Binv = self._slacks()
         self.farkas, self.pivots = None, 0
@@ -106,7 +105,6 @@ def lp_feasible(lp, b):
     b = b / lp.row_scale
     beta = Binv @ b             # basic variable values
     fresh = True                # no update to Binv since it was factored
-    work = np.empty((m, m))
 
     max_iter = PIVOT_CAP_FACTOR * (10 + 2 * m + n)
     b_max = np.abs(b).max()
@@ -130,12 +128,11 @@ def lp_feasible(lp, b):
             raise SimplexIterationError(f"no convergence in {max_iter} pivots")
         enter = cols[np.argmin(alpha[cols])]
 
-        col = Binv @ lp.MT[enter]
+        col = Binv @ lp.M[:, enter]
         Binv[leave] /= col[leave]
         beta[leave] /= col[leave]
         col[leave] = 0.0
-        np.multiply(col[:, None], Binv[leave], out=work)
-        Binv -= work
+        Binv -= col[:, None] * Binv[leave]
         beta -= col * beta[leave]
         basis[leave] = enter
         pivots += 1

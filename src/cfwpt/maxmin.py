@@ -129,7 +129,6 @@ class _EnergyLP:
         self.coef, self.cfg = coef, cfg
         self.scale = cfg.rho_d / cache.tr_rhat      # q_il -> p_il
         self.lp = FeasibilityLP(build_feasibility_lp(cache, coef, cfg))
-        self.energy = -self.lp.A[:cfg.K]             # E_k q, UE k's harvest
         self.cut_y, self.cut_h = np.empty((0, cfg.K)), np.empty(0)
         self.lp_calls = 0
 
@@ -163,7 +162,7 @@ class _EnergyLP:
             q = lp_feasible(self.lp, b)
             if q is None:
                 y = np.maximum(self.lp.farkas[:cfg.K], 0.0)
-                g = (y @ self.energy).reshape(cfg.K, -1).max(axis=0)
+                g = -(y @ self.lp.A[:cfg.K]).reshape(cfg.K, -1).min(axis=0)
                 h = np.maximum(g, 0.0).sum()
                 self.cut_y = np.vstack([self.cut_y, y])
                 self.cut_h = np.append(self.cut_h, h)
@@ -189,15 +188,15 @@ def _decoding_weights(w, se):
     Woodbury, a_k = D^-1 b - D^-1 V W (I + V^H D^-1 V W)^-1 V^H D^-1 b,
     with V = u[pick] and W = diag(w[pick]) >= 0 (SEStatistics.copilots):
     a g x g solve.  LinAlgError unless d > 0, making M_k positive definite."""
-    pick, v, v_conj = se.copilots
+    pick, v = se.copilots
     d = (w[:, None, :] @ se.same_ap)[:, 0] + se.D
     if not d.min() > 0.0:      # also catches NaN
         raise np.linalg.LinAlgError(f"LSFD diagonal min {d.min()} <= 0")
-    vhd = v_conj / d[:, None, :]                    # rows of V^H D^-1
+    vhd = v.conj() / d[:, None, :]                  # rows of V^H D^-1
     wv = w[pick][..., None] * v
     # A trailing axis keeps b a stack of vectors in numpy 1.x and 2.x.
     z = np.linalg.solve(vhd @ wv.swapaxes(1, 2) + np.eye(v.shape[1]),
-                        vhd @ se.b_complex[..., None])
+                        vhd @ se.b[..., None])
     return (se.b - (z.swapaxes(1, 2) @ wv)[:, 0]) / d
 
 

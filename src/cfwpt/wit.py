@@ -32,8 +32,8 @@ class SEStatistics:
     Cross-AP correlation survives only through a shared pilot, so
     C_km = E{ghat_k^H g_m g_m^H ghat_k} is u_km u_km^H with its diagonal
     set to second_km.  The solver's per-drop constants same_ap = second -
-    |u|^2 (C_km's diagonal past u u^H), b_complex = b + 0j and copilots
-    are formed once, on first use.
+    |u|^2 (C_km's diagonal past u u^H) and copilots are formed once, on
+    first use.
     """
 
     b: np.ndarray        # (K, L) real
@@ -42,18 +42,17 @@ class SEStatistics:
     D: np.ndarray        # (K, L) real
 
     same_ap = cached_property(lambda self: self.second - np.abs(self.u) ** 2)
-    b_complex = cached_property(lambda self: self.b + 0j)
 
     @cached_property
     def copilots(self):
-        """(pick, v, v_conj): w[pick] takes from row k of a (K, K) array
-        the g entries at k's co-pilots m (u_km != 0), filled up with zero
+        """(pick, v): w[pick] takes from row k of a (K, K) array the g
+        entries at k's co-pilots m (u_km != 0), filled up with zero
         columns of u_k; v = u[pick], (K, g, L)."""
         nonzero = np.any(self.u != 0.0, axis=2)
         count = nonzero.sum(axis=1, keepdims=True)
         take = nonzero | (np.cumsum(~nonzero, axis=1) <= count.max() - count)
         pick = tuple(i.reshape(len(take), -1) for i in np.nonzero(take))
-        return pick, self.u[pick], self.u[pick].conj()
+        return pick, self.u[pick]
 
     @property
     def C(self):
@@ -98,7 +97,7 @@ def sinr_terms(a, se):
     # cross[k, m] = sum_l (second - |u|^2)_kml |a_kl|^2 + |u_km^H a_k|^2.
     same_ap = se.same_ap @ (np.abs(a) ** 2)[:, :, None]
     cross = (same_ap + np.abs(se.u @ a.conj()[:, :, None]) ** 2)[..., 0]
-    gain = np.abs(np.einsum("kl,kl->k", a.conj(), se.b_complex)) ** 2
+    gain = np.abs(np.einsum("kl,kl->k", a.conj(), se.b)) ** 2
     noise = np.einsum("kl,kl->k", np.abs(a) ** 2, se.D)
     return gain, cross, noise
 

@@ -39,10 +39,9 @@ def _pathloss_db(prop, d, los):
     """
     d = np.asarray(d, dtype=float)
     cfg = ScenarioConfig(L=1, K=d.size, N=1, tau_p=1,
-                         tau_d=25, tau_u=174)
+                         tau_d=25, tau_u=174, height_diff=0.0)
     geom = NetworkGeometry(ap_positions=np.zeros((1, 2)),
-                           ue_positions=np.column_stack([d, np.zeros_like(d)]),
-                           height_diff=0.0)
+                           ue_positions=np.column_stack([d, np.zeros_like(d)]))
     fixed = dataclasses.replace(prop, shadow_std_los=0.0, shadow_std_nlos=0.0)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "inh_los_probability", lambda _: float(los))
@@ -138,7 +137,7 @@ def test_gain_split_consistency():
     los = los_share > 0.0
     assert los.any() and not los.all()
     d = link_distance(geom.ap_positions[None, :, :],
-                      geom.ue_positions[:, None, :], geom.height_diff)
+                      geom.ue_positions[:, None, :], cfg.height_diff)
     kappa = np.vectorize(inh_rician_factor)(d)
     assert np.allclose(los_share[los] / stats.beta[los], kappa[los], rtol=1e-12)
 
@@ -171,7 +170,7 @@ def test_total_gain_decreases_with_distance_without_shadowing(monkeypatch):
     rng = np.random.default_rng(12)
     geom = place_network(cfg, rng)
     stats = draw_link_statistics(geom, prop, cfg, rng)
-    d = link_distance(geom.ap_positions[0], geom.ue_positions, geom.height_diff)
+    d = link_distance(geom.ap_positions[0], geom.ue_positions, cfg.height_diff)
     order = np.argsort(d)
     total = stats.beta + np.sum(np.abs(stats.gbar) ** 2, axis=2) / cfg.N
     gains = total[:, 0][order]

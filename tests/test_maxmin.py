@@ -780,7 +780,7 @@ def test_energy_cuts_are_exact(monkeypatch):
                 assert alloc is None
                 y, h = energy_lp.cut_y[before], energy_lp.cut_h[before]
                 assert y @ need > (1.0 + CUT_RTOL) * h
-                assert _exact_cut_excess(y, need, energy_lp.energy) > 0
+                assert _exact_cut_excess(y, need, -energy_lp.lp.A[:cfg.K]) > 0
             continue
         settled += 1
         assert alloc is None
@@ -789,9 +789,32 @@ def test_energy_cuts_are_exact(monkeypatch):
                  if y @ need > (1.0 + CUT_RTOL) * h]
         assert fired
         for y in fired:
-            assert _exact_cut_excess(y, need, energy_lp.energy) > 0
+            assert _exact_cut_excess(y, need, -energy_lp.lp.A[:cfg.K]) > 0
         assert not oracle_feasible(energy_lp.lp.A, b)
     assert settled > 100
+
+
+def test_large_array_lp_verdicts_match_exact_oracle(monkeypatch):
+    """Every LP verdict of a production-shaped solve, perfbench's
+    large_array shape (L = 4, K = 8, N = 128; 40 variables, 12 rows) at
+    seed 1 drop 0, equals the exact rational oracle's on the same A and b:
+    6 calls, 2 of them infeasible."""
+    cfg = ScenarioConfig(L=4, K=8, N=128, tau_p=4, tau_d=25, tau_u=171,
+                         rho_d=1.0)
+    verdicts, lp = [], maxmin.lp_feasible
+
+    def spy(problem, b):
+        x = lp(problem, b)
+        verdicts.append((problem.A, b, x is not None))
+        return x
+
+    monkeypatch.setattr(maxmin, "lp_feasible", spy)
+    stats, cache, se = build_drop(cfg, PropagationModel(), _setup_rng(1, 0)[0])
+    solve_maxmin(stats, cache, se, cfg)
+    assert len(verdicts) == 6
+    assert sum(not got for *_, got in verdicts) == 2
+    for A, b, got in verdicts:
+        assert got == oracle_feasible(A, b)
 
 
 def test_non_finite_certificate_fails_loudly(monkeypatch):
