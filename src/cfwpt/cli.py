@@ -21,7 +21,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +33,7 @@ from .maxmin import fpc_baseline, solve_maxmin
 from .wit import lsfd_statistics, se_sums
 from .wpt import energy_sums, harvested_energy, harvested_energy_coefficients
 
-MAX_VALIDATE_SIZE = 1024      # cap on L*N*K so the oracles stay quick
+MAX_VALIDATE_SIZE = 1024      # cap on L*N*K, which bounds validate's time and memory
 
 
 def _fmt(v):
@@ -94,6 +93,7 @@ def run_optimize(cfg, prop, setups, seed, out_dir, jobs=1, config_label="<defaul
     out.mkdir(parents=True, exist_ok=True)
     tasks = [(cfg, prop, seed, i) for i in range(setups)]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(_run_setup, tasks))
     else:

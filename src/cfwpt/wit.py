@@ -130,18 +130,21 @@ def se_sums(cfg):
     block's (sum, sum of |.|^2) pairs of ghat_kl^H g_kl, the per-AP
     products ghat_kl^H g_ml g_ml'^H ghat_kl' and sigma^2 ||ghat_kl||^2."""
     def block(g, ghat_c, rng):
-        # xt[k, m, l] = ghat_kl^H g_ml, draws last; the sums of x_l x_l'^*
-        # and |x_l|^2 |x_l'|^2 are (L, b) @ (b, L) products.
-        xt = ghat_c[:, None, :, 0] * g[None, :, :, 0]
-        for n in range(1, g.shape[2]):
-            xt += ghat_c[:, None, :, n] * g[None, :, :, n]
-        y_b = np.diagonal(xt).transpose(2, 0, 1)            # x_kk
+        # x[m, l] = ghat_kl^H g_ml for one UE k at a time, draws last; the sums
+        # of x_l x_l'^* and |x_l|^2 |x_l'|^2 are (L, b) @ (b, L) products.
+        K, L, N, _ = g.shape
+        b, b_sq = np.empty((K, L), dtype=complex), np.empty((K, L))
+        c, c_sq = np.empty((K, K, L, L), dtype=complex), np.empty((K, K, L, L))
+        for k in range(K):
+            x = ghat_c[k, :, 0] * g[:, :, 0]
+            for n in range(1, N):
+                x += ghat_c[k, :, n] * g[:, :, n]
+            x_sq = np.abs(x) ** 2
+            b[k], b_sq[k] = x[k].sum(axis=-1), x_sq[k].sum(axis=-1)   # x_kk
+            c[k] = x @ x.conj().swapaxes(-1, -2)
+            c_sq[k] = x_sq @ x_sq.swapaxes(-1, -2)
         y_d = cfg.sigma2 * (ghat_c.real ** 2 + ghat_c.imag ** 2).sum(axis=2)
-        c = xt @ xt.conj().swapaxes(-1, -2)
-        x_sq = np.abs(xt) ** 2
-        return [(y_b.sum(axis=-1), (np.abs(y_b) ** 2).sum(axis=-1)),
-                (c, x_sq @ x_sq.swapaxes(-1, -2)),
-                (y_d.sum(axis=-1), (y_d ** 2).sum(axis=-1))]
+        return [(b, b_sq), (c, c_sq), (y_d.sum(axis=-1), (y_d ** 2).sum(axis=-1))]
     return block
 
 

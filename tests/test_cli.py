@@ -442,6 +442,19 @@ def test_manifest_records_solver_path(tmp_path):
             assert t_min <= rec["t_star"] <= t_max
 
 
+def _last_line_in_fresh_interpreter(script):
+    """Run script in a new Python process that imports this cfwpt; return
+    the last line it prints."""
+    src = str(Path(cfwpt.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
 def test_optimize_runs_without_scipy(tmp_path):
     """A whole optimize + cdf run in a fresh interpreter imports no scipy."""
     script = (
@@ -453,14 +466,19 @@ def test_optimize_runs_without_scipy(tmp_path):
         "print(sorted(m for m in sys.modules"
         " if m == 'scipy' or m.startswith('scipy.')))\n"
     )
-    src = str(Path(cfwpt.__file__).resolve().parents[1])
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    assert _last_line_in_fresh_interpreter(script) == "[]"
+
+
+def test_cli_import_leaves_out_process_pool():
+    """Importing the CLI in a fresh interpreter loads no process pool
+    machinery; only optimize --jobs N > 1 needs it."""
+    script = (
+        "import sys\n"
+        "import cfwpt.cli\n"
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process')"
+        " if m in sys.modules))\n"
+    )
+    assert _last_line_in_fresh_interpreter(script) == "[]"
 
 
 def test_failed_setup_is_isolated(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 
 from cfwpt.channel import MC_BATCH, draw_estimates, mean_and_stderr
 from cfwpt.estimation import build_cache
-from cfwpt.wit import (SEStatistics, lsfd_statistics, se_statistics_oracle, sinr,
-                       sinr_terms, spectral_efficiency)
+from cfwpt.wit import (SEStatistics, lsfd_statistics, se_statistics_oracle,
+                       se_sums, sinr, sinr_terms, spectral_efficiency)
 
 from test_estimation import _scalar_setup
 from helpers import (
@@ -190,3 +191,51 @@ def test_oracle_matches_batch_first_einsum_reference():
     for name, mine, ref in zip(("b", "b_se", "C", "C_se", "D", "D_se"),
                                got, want):
         np.testing.assert_allclose(mine, ref, rtol=1e-12, atol=0, err_msg=name)
+
+
+def _broadcast_se_sums(cfg, g, ghat_c):
+    """se_sums' block as one (K, K, L, batch) broadcast over all UE pairs,
+    with the same per-element operations and per-matrix products."""
+    xt = ghat_c[:, None, :, 0] * g[None, :, :, 0]
+    for n in range(1, g.shape[2]):
+        xt += ghat_c[:, None, :, n] * g[None, :, :, n]
+    y_b = np.diagonal(xt).transpose(2, 0, 1)
+    y_d = cfg.sigma2 * (ghat_c.real ** 2 + ghat_c.imag ** 2).sum(axis=2)
+    x_sq = np.abs(xt) ** 2
+    return [(y_b.sum(axis=-1), (np.abs(y_b) ** 2).sum(axis=-1)),
+            (xt @ xt.conj().swapaxes(-1, -2), x_sq @ x_sq.swapaxes(-1, -2)),
+            (y_d.sum(axis=-1), (y_d ** 2).sum(axis=-1))]
+
+
+def test_se_sums_bitwise_equal_to_broadcast_block():
+    """The per-UE rows give exactly the broadcast block's sums, with pilot
+    sharing, K > N and a short last batch."""
+    cfg, stats, cache, se = _instance(seed=64, L=2, K=5, N=3)
+    block = se_sums(cfg)
+    sizes = []
+    for g, ghat in draw_estimates(stats, cfg, MC_BATCH + 700,
+                                  np.random.default_rng(10)):
+        ghat_c = ghat.conj()
+        sizes.append(g.shape[-1])
+        for got, want in zip(block(g, ghat_c, None),
+                             _broadcast_se_sums(cfg, g, ghat_c)):
+            for mine, ref in zip(got, want):
+                assert mine.dtype == ref.dtype
+                assert np.array_equal(mine, ref)
+    assert sizes == [MC_BATCH, 700]
+
+
+def test_se_sums_memory_independent_of_ue_pairs():
+    """One block allocates less than 3 draw arrays at K = 12, N = 2: no
+    (K, K, L, batch) array, which alone would be K / N = 6 of them."""
+    cfg, stats = synthetic_stats(L=2, K=12, N=2, tau_p=4, seed=65)
+    [(g, ghat)] = draw_estimates(stats, cfg, MC_BATCH, np.random.default_rng(11))
+    ghat_c = ghat.conj()
+    block = se_sums(cfg)
+    tracemalloc.start()
+    try:
+        block(g, ghat_c, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * g.nbytes, peak / g.nbytes
