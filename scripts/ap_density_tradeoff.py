@@ -16,7 +16,7 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from cfwpt.cli import build_drop
+from cfwpt.cli import _setup_rng, build_drop
 from cfwpt.config import ScenarioConfig
 from cfwpt.geometry import PropagationModel
 from cfwpt.maxmin import solve_maxmin
@@ -26,8 +26,7 @@ def sweep_arm(cfg, prop, setups, seed, eps):
     mins = []
     solved = 0
     for i in range(setups):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        stats, cache, se = build_drop(cfg, prop, rng)
+        stats, cache, se = build_drop(cfg, prop, _setup_rng(seed, i)[0])
         res = solve_maxmin(stats, cache, se, cfg, eps=eps)
         solved += res.status == "solved"
         mins.append(float(res.per_ue_se.min()))

@@ -81,8 +81,6 @@ def _run_setup(task):
         "bracket": [float(v) for v in mmf.bracket],
         "se_mmf": [float(v) for v in mmf.per_ue_se],
         "se_fpc": [float(v) for v in fpc.per_ue_se],
-        "min_se_mmf": float(mmf.per_ue_se.min()),
-        "min_se_fpc": float(fpc.per_ue_se.min()),
     }
 
 
@@ -116,15 +114,14 @@ def run_optimize(cfg, prop, setups, seed, out_dir, jobs=1, config_label="<defaul
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["setup_id", "scheme", "min_se"])
         for rec in solved:
-            w.writerow([rec["setup_id"], "MMF", _fmt(rec["min_se_mmf"])])
-            w.writerow([rec["setup_id"], "FPC", _fmt(rec["min_se_fpc"])])
+            w.writerow([rec["setup_id"], "MMF", _fmt(min(rec["se_mmf"]))])
+            w.writerow([rec["setup_id"], "FPC", _fmt(min(rec["se_fpc"]))])
 
     manifest = {
         "subcommand": "optimize",
         "config": config_label,
         "setups": setups,
         "seed": seed,
-        "out": str(out),
         "records": records,
     }
     with open(out / "manifest.json", "w") as f:
@@ -142,7 +139,7 @@ def _z_scores(closed, mean, stderr):
 def run_validate(cfg, prop, mc_samples, seed, out=None):
     """Closed forms vs Monte Carlo on one setup; 0 iff all |z| <= 3."""
     out = sys.stdout if out is None else out
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    rng, _ = _setup_rng(seed, 0)      # optimize's setup 0 at this seed
     stats, cache, se = build_drop(cfg, prop, rng)
 
     # Every AP splits its budget evenly over the UE-directed beams.
@@ -187,15 +184,14 @@ def run_cdf(out_dir, out=None):
                 continue
             mmf = [float(v) for v in rec["se_mmf"]]
             fpc = [float(v) for v in rec["se_fpc"]]
-            low = [float(rec["min_se_mmf"]), float(rec["min_se_fpc"])]
-            if not np.all(np.isfinite(mmf + fpc + low)):
+            if not np.all(np.isfinite(mmf + fpc)):
                 print(f"error: record {i} (setup_id {rec.get('setup_id')}) "
                       "holds a non-finite SE", file=sys.stderr)
                 return 2
             per_ue["MMF"] += mmf
             per_ue["FPC"] += fpc
-            min_se["MMF"].append(low[0])
-            min_se["FPC"].append(low[1])
+            min_se["MMF"].append(min(mmf))
+            min_se["FPC"].append(min(fpc))
     except (ValueError, AttributeError, KeyError, TypeError) as exc:
         # Not JSON, or JSON without the optimize manifest's shape.
         print(f"error: unreadable manifest: {exc!r}", file=sys.stderr)
@@ -281,18 +277,16 @@ def main(argv=None):
 
         if args.config is not None:
             cfg, prop = load_config(args.config)
-            label = str(args.config)
         elif args.command == "validate":
             cfg, prop = _small_default_config(), PropagationModel()
-            label = "<built-in small instance>"
         else:
             cfg, prop = ScenarioConfig(), PropagationModel()
-            label = "<defaults>"
         seed = args.seed if args.seed is not None else cfg.seed
 
         if args.command == "optimize":
             manifest = run_optimize(cfg, prop, args.setups, seed, args.out,
-                                    jobs=args.jobs, config_label=label)
+                                    jobs=args.jobs,
+                                    config_label=args.config or "<defaults>")
             return int(any(rec["status"] == "error"
                            for rec in manifest["records"]))
 

@@ -20,9 +20,9 @@ class ScenarioConfig:
 
     Defaults describe the reference indoor-hotspot deployment used by
     the shipped experiments: a 4x4 AP grid with 25 antennas per AP over
-    a 100 m square serving 20 energy-harvesting users, 200-sample
-    coherence blocks split into 5 pilot, 25 downlink-energy and 170
-    uplink-data samples.
+    a 100 m square serving 20 energy-harvesting users.  Each coherence
+    block is 5 pilot, 25 downlink-energy and 170 uplink-data samples;
+    the three phases fill it, so its length tau_c (200) is their sum.
     """
 
     L: int = 16                  # access points
@@ -31,7 +31,6 @@ class ScenarioConfig:
     area_side: float = 100.0     # m
     height_diff: float = 4.0     # m between AP and UE planes
     carrier_freq: float = 3.4    # GHz
-    tau_c: int = 200             # coherence block length, samples
     tau_p: int = 5               # pilot phase
     tau_d: int = 25              # downlink energy phase
     tau_u: int = 170             # uplink data phase
@@ -41,15 +40,13 @@ class ScenarioConfig:
     mu: float = 0.5              # harvester efficiency, in [0, 1]
     seed: int = 1
     mc_samples: int = 200_000    # Monte Carlo draws for the oracles
-    ap_placement: str = "grid"   # "grid" (falls back to random when
-                                 # sqrt(L) is not whole) or "random"
+
+    @property
+    def tau_c(self):
+        """Coherence block length in samples: pilot + energy + data."""
+        return self.tau_p + self.tau_d + self.tau_u
 
     def __post_init__(self):
-        if self.tau_p + self.tau_d + self.tau_u != self.tau_c:
-            raise ConfigError(
-                f"tau_p + tau_d + tau_u = "
-                f"{self.tau_p + self.tau_d + self.tau_u} != tau_c = {self.tau_c}"
-            )
         if min(self.L, self.K, self.N, self.tau_p, self.tau_d, self.tau_u) < 1:
             raise ConfigError("L, K, N and all tau's must be >= 1")
         for name in ("rho_p", "rho_d", "sigma2", "carrier_freq", "area_side"):
@@ -61,14 +58,12 @@ class ScenarioConfig:
                 f"height_diff = {self.height_diff} must be finite and >= 0")
         if not 0.0 <= self.mu <= 1.0:
             raise ConfigError(f"mu = {self.mu} outside [0, 1]")
-        if self.ap_placement not in ("grid", "random"):
-            raise ConfigError(f"unknown ap_placement {self.ap_placement!r}")
         if self.mc_samples < 2 or self.seed < 0:
             raise ConfigError("mc_samples must be >= 2 and seed >= 0")
 
 
 # One parser per ScenarioConfig field, read off its annotation.
-_PARSERS = {f.name: {"int": int, "float": float, "str": str}[f.type]
+_PARSERS = {f.name: {"int": int, "float": float}[f.type]
             for f in fields(ScenarioConfig)}
 # Convenience spellings converted to watts once, at parse time.
 _DBM_KEYS = {"rho_p_dbm": "rho_p", "rho_d_dbm": "rho_d", "sigma2_dbm": "sigma2"}

@@ -90,12 +90,12 @@ class ChannelStatistics:
 def place_network(cfg, rng):
     """Drop L APs and K UEs in the square.
 
-    APs sit on a centered sqrt(L) x sqrt(L) grid when that is possible
-    and requested, otherwise uniformly at random; UEs are always
-    uniform i.i.d.
+    APs sit on a centered sqrt(L) x sqrt(L) grid when L is a perfect
+    square and uniformly at random otherwise; UEs are always uniform
+    i.i.d.  The grid draws nothing from rng.
     """
     root = math.isqrt(cfg.L)
-    if cfg.ap_placement == "grid" and root * root == cfg.L:
+    if root * root == cfg.L:
         pitch = cfg.area_side / root
         line = (np.arange(root) + 0.5) * pitch
         xx, yy = np.meshgrid(line, line)

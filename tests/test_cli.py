@@ -72,10 +72,12 @@ def test_optimize_outputs(tmp_path):
 
 
 def test_optimize_is_deterministic(tmp_path):
+    """Two sweeps into different directories write the same bytes, the
+    manifest included: it names no output directory."""
     cfg, prop = _demo()
     run_optimize(cfg, prop, setups=2, seed=7, out_dir=tmp_path / "a")
     run_optimize(cfg, prop, setups=2, seed=7, out_dir=tmp_path / "b")
-    for name in ("se_per_ue.csv", "min_se_per_setup.csv"):
+    for name in ("se_per_ue.csv", "min_se_per_setup.csv", "manifest.json"):
         assert (tmp_path / "a" / name).read_bytes() \
             == (tmp_path / "b" / name).read_bytes()
 
@@ -84,7 +86,7 @@ def test_optimize_parallel_matches_serial(tmp_path):
     cfg, prop = _demo()
     run_optimize(cfg, prop, setups=3, seed=5, out_dir=tmp_path / "serial")
     run_optimize(cfg, prop, setups=3, seed=5, out_dir=tmp_path / "par", jobs=2)
-    for name in ("se_per_ue.csv", "min_se_per_setup.csv"):
+    for name in ("se_per_ue.csv", "min_se_per_setup.csv", "manifest.json"):
         assert (tmp_path / "serial" / name).read_bytes() \
             == (tmp_path / "par" / name).read_bytes()
 
@@ -128,7 +130,6 @@ def _write_manifest(path, records):
 def test_cdf_single_value(tmp_path):
     _write_manifest(tmp_path, [{
         "se_mmf": [1.5], "se_fpc": [0.5],
-        "min_se_mmf": 1.5, "min_se_fpc": 0.5,
     }])
     assert run_cdf(tmp_path) == 0
     rows = _read_rows(tmp_path / "cdf_se_per_ue.csv")
@@ -143,7 +144,6 @@ def test_cdf_quantile_rule(tmp_path):
     vals = [float(v) for v in range(1, 21)]
     _write_manifest(tmp_path, [{
         "se_mmf": vals, "se_fpc": vals,
-        "min_se_mmf": 1.0, "min_se_fpc": 1.0,
     }])
     assert run_cdf(tmp_path) == 0
     summary = (tmp_path / "summary.txt").read_text()
@@ -301,6 +301,26 @@ def test_validate_draws_each_block_once(capsys, monkeypatch):
     assert sizes == [MC_BATCH, 700]
 
 
+def test_validate_draws_optimize_setup_0(tmp_path, capsys, monkeypatch):
+    """validate at seed S checks the drop that optimize's setup 0 solves
+    at seed S: both seed it by the one per-setup rule."""
+    drops = []
+    build = cli.build_drop
+
+    def spy(cfg, prop, rng):
+        drop = build(cfg, prop, rng)
+        drops.append(drop[0])
+        return drop
+    monkeypatch.setattr(cli, "build_drop", spy)
+    cfg, prop = _demo()
+    run_validate(cfg, prop, mc_samples=2, seed=6)
+    run_optimize(cfg, prop, setups=1, seed=6, out_dir=tmp_path)
+    validate, optimize = drops
+    for name in ("beta", "gbar", "pilot_of"):
+        assert getattr(validate, name).tobytes() \
+            == getattr(optimize, name).tobytes()
+
+
 def test_validate_zero_efficiency_trivially_passes(capsys):
     cfg = replace(_small_default_config(), mu=0.0)
     code = run_validate(cfg, PropagationModel(), mc_samples=2_000, seed=3)
@@ -352,6 +372,20 @@ def test_main_optimize_rejects_nan_power(tmp_path, capsys):
     assert not (out / "min_se_per_setup.csv").exists()
 
 
+@pytest.mark.parametrize("line", ["tau_c = 200", "ap_placement = grid"])
+def test_main_rejects_derived_keys(line, tmp_path, capsys):
+    """tau_c is the sum of the phases and the AP layout follows from L,
+    so a config that sets either has an unknown key: exit 2, key named,
+    nothing written."""
+    bad = tmp_path / "old.cfg"
+    bad.write_text((CONFIGS / "small_demo.cfg").read_text() + line + "\n")
+    out = tmp_path / "out"
+    assert main(["optimize", "-c", str(bad), "--setups", "1",
+                 "-o", str(out)]) == 2
+    assert f"unknown key {line.split()[0]!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_usage_errors(tmp_path, capsys):
     assert main([]) == 2
     assert main(["optimize", "--bogus"]) == 2
@@ -392,10 +426,9 @@ def test_main_rejects_bad_counts(command, option, value, tmp_path, capsys):
     ("bad.cfg", b"rho_p = 0.5\nrho_p_dbm = -40\n",
      ["optimize", "-c", "{path}", "--setups", "1", "-o", "{dir}/out"]),
     ("manifest.json", b"[]", ["cdf", "-o", "{dir}"]),
-    ("manifest.json", b'{"records": [{"se_fpc": [1.0], "min_se_mmf": 1.0,'
-                      b' "min_se_fpc": 1.0}]}', ["cdf", "-o", "{dir}"]),
-    ("manifest.json", b'{"records": [{"se_mmf": ["x"], "se_fpc": [1.0],'
-                      b' "min_se_mmf": 1.0, "min_se_fpc": 1.0}]}',
+    ("manifest.json", b'{"records": [{"se_fpc": [1.0]}]}',
+     ["cdf", "-o", "{dir}"]),
+    ("manifest.json", b'{"records": [{"se_mmf": ["x"], "se_fpc": [1.0]}]}',
      ["cdf", "-o", "{dir}"]),
 ], ids=["non-utf8-config", "repeated-config-key", "manifest-not-an-object",
         "record-without-se_mmf", "se-not-a-number"])
@@ -413,10 +446,8 @@ def test_main_rejects_malformed_input(name, content, argv, tmp_path, capsys):
 def test_cdf_rejects_non_finite_se(value, tmp_path, capsys):
     """A manifest that parses but holds a non-finite SE exits 2, names the
     record and writes no CDF table."""
-    good = '{"setup_id": 0, "se_mmf": [1.0], "se_fpc": [1.0],' \
-           ' "min_se_mmf": 1.0, "min_se_fpc": 1.0}'
-    bad = f'{{"setup_id": 7, "se_mmf": [{value}, 1.0], "se_fpc": [1.0, 1.0],' \
-          f' "min_se_mmf": {value}, "min_se_fpc": 1.0}}'
+    good = '{"setup_id": 0, "se_mmf": [1.0], "se_fpc": [1.0]}'
+    bad = f'{{"setup_id": 7, "se_mmf": [{value}, 1.0], "se_fpc": [1.0, 1.0]}}'
     (tmp_path / "manifest.json").write_text(f'{{"records": [{good}, {bad}]}}')
     assert main(["cdf", "-o", str(tmp_path)]) == 2
     err = capsys.readouterr().err

@@ -32,8 +32,10 @@ def test_dbm_conversion():
 
 
 def test_tau_split_must_sum():
-    with pytest.raises(ConfigError):
-        ScenarioConfig(tau_p=5, tau_d=25, tau_u=171)
+    """The pilot, energy and data phases fill the block: tau_c is their
+    sum, and no setting of its own."""
+    assert ScenarioConfig(tau_p=5, tau_d=25, tau_u=171).tau_c == 201
+    assert "tau_c" not in {f.name for f in fields(ScenarioConfig)}
 
 
 @pytest.mark.parametrize(
@@ -45,7 +47,6 @@ def test_tau_split_must_sum():
         dict(sigma2=-1.0),
         dict(L=0, tau_p=5),
         dict(area_side=-5.0),
-        dict(ap_placement="hexagonal"),
         dict(mc_samples=0),
         dict(seed=-1),
         dict(rho_p=math.nan),
@@ -121,9 +122,8 @@ def test_load_config_reads_every_field(tmp_path):
     """Every ScenarioConfig field is a config key parsed to its own type."""
     cfg = ScenarioConfig(
         L=9, K=7, N=3, area_side=250.5, height_diff=2.5, carrier_freq=2.1,
-        tau_c=150, tau_p=3, tau_d=40, tau_u=107, rho_p=2e-7, rho_d=0.125,
-        sigma2=3.5e-13, mu=0.35, seed=42, mc_samples=1234,
-        ap_placement="random")
+        tau_p=3, tau_d=40, tau_u=107, rho_p=2e-7, rho_d=0.125,
+        sigma2=3.5e-13, mu=0.35, seed=42, mc_samples=1234)
     default = ScenarioConfig()
     assert all(getattr(cfg, f.name) != getattr(default, f.name)
                for f in fields(cfg))

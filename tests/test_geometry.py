@@ -104,7 +104,7 @@ def test_non_square_l_falls_back_to_random():
 
 
 def test_random_placement_is_deterministic_per_seed():
-    cfg = ScenarioConfig(ap_placement="random")
+    cfg = ScenarioConfig(L=8)       # not a square: the uniform draw
     a = place_network(cfg, np.random.default_rng(7))
     b = place_network(cfg, np.random.default_rng(7))
     assert np.array_equal(a.ap_positions, b.ap_positions)
@@ -164,7 +164,7 @@ def test_steering_vector_unit_modulus(monkeypatch):
 
 
 def test_total_gain_decreases_with_distance_without_shadowing(monkeypatch):
-    cfg = _small_cfg(L=1, K=8, ap_placement="random")
+    cfg = _small_cfg(L=1, K=8)      # a one-AP grid, at the center
     monkeypatch.setattr(geometry, "inh_los_probability", lambda d: 1.0)
     prop = PropagationModel(shadow_std_los=0.0, shadow_std_nlos=0.0)
     rng = np.random.default_rng(12)
