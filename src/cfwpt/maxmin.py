@@ -128,7 +128,13 @@ class _EnergyLP:
     def __init__(self, cache, coef, cfg):
         self.coef, self.cfg = coef, cfg
         self.scale = cfg.rho_d / cache.tr_rhat      # q_il -> p_il
-        self.lp = FeasibilityLP(build_feasibility_lp(cache, coef, cfg))
+        A = build_feasibility_lp(cache, coef, cfg)
+        # Crash basis: energy row k on UE k's own beam at the AP where it
+        # gives k the most energy per budget share; budget rows on slacks.
+        K, L = cfg.K, cfg.L
+        own = -A[:K].reshape(K, K, L)[np.arange(K), np.arange(K)]
+        start = np.arange(K) * L + own.argmax(axis=1)
+        self.lp = FeasibilityLP(A, np.append(start, K * L + K + np.arange(L)))
         self.cut_y, self.cut_h = np.empty((0, cfg.K)), np.empty(0)
         self.lp_calls = 0
 

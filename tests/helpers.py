@@ -227,10 +227,18 @@ def sequential_bisection(stats, cache, se, cfg, eps):
     """(trace, t*, LP calls, LP pivots) of maxmin.solve_maxmin's bisection,
     probed one target at a time: per target one least_powers solve, a
     test of the need against each energy cut in turn, and at most one
-    LP call on the carried basis."""
+    LP call on the carried basis.  The first call starts from the crash
+    basis: energy row k on q_kl* (index k L + l*), l* the AP whose beam
+    to UE k gives k the most energy per budget share, and the budget
+    rows on their slacks."""
     coef = maxmin.energy_coefficient_table(se, cfg)
-    lp = FeasibilityLP(maxmin.build_feasibility_lp(cache, coef, cfg))
-    energy, scale = -lp.A[:cfg.K], cfg.rho_d / cache.tr_rhat
+    scale = cfg.rho_d / cache.tr_rhat
+    K, L = cfg.K, cfg.L
+    best_ap = [int(np.argmax(coef[k, k] * scale[k])) for k in range(K)]
+    start = [k * L + best_ap[k] for k in range(K)] + [K * L + K + l
+                                                      for l in range(L)]
+    lp = FeasibilityLP(maxmin.build_feasibility_lp(cache, coef, cfg), start)
+    energy = -lp.A[:cfg.K]
     pilot = cfg.tau_p * cfg.rho_p
     cuts, lp_calls = [], 0
 

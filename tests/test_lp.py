@@ -275,3 +275,46 @@ def test_carried_inverse_above_max_inverse_restarts(monkeypatch):
     monkeypatch.setattr(cfwpt.lp, "MAX_INVERSE", 0.5)
     _check_point(A, b, lp_feasible(restarted, b))
     assert restarted.pivots == 2
+
+
+def _slack_start(lp):
+    m = lp.M.shape[0]
+    return (np.array_equal(lp.basis, lp.M.shape[1] - m + np.arange(m))
+            and np.array_equal(lp.Binv, np.eye(m)))
+
+
+@pytest.mark.parametrize("A, basis", [
+    (np.array([[-1.0, -2.0], [1.0, 0.0], [0.0, 1.0]]), [0, 0, 4]),
+    (np.array([[-1.0, -1.0], [1.0, 1.0 - 1e-11]]), [0, 1]),
+], ids=["repeated-column", "inverse-above-max-inverse"])
+def test_bad_start_basis_falls_back_to_slacks(A, basis):
+    """A start basis that is singular, or whose inverse has an entry
+    above MAX_INVERSE, gives way to the all-slack basis: the first call
+    pivots from there, as an LP given no start basis does."""
+    m = A.shape[0]
+    if len(set(basis)) == m:
+        assert np.abs(np.linalg.inv(A[:, basis])).max() > cfwpt.lp.MAX_INVERSE
+    lp, slack = FeasibilityLP(A, basis), FeasibilityLP(A)
+    assert _slack_start(lp)
+    b = np.concatenate([[-1.0], np.ones(m - 1)])
+    x = lp_feasible(lp, b)
+    _check_point(A, b, x)
+    assert np.array_equal(x, lp_feasible(slack, b))
+    assert lp.pivots == slack.pivots >= 1
+
+
+def test_start_basis_is_taken_and_saves_pivots():
+    """A nonsingular start basis is factored and the first call starts
+    from it: a start on the final basis of a slack start's call gives
+    the same point without a pivot."""
+    A = np.array([[-1.0, -2.0, 0.0], [0.0, -1.0, -3.0],
+                  [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    b = np.array([-1.0, -1.0, 1.0, 1.0])
+    slack = FeasibilityLP(A)
+    x = lp_feasible(slack, b)
+    _check_point(A, b, x)
+    assert slack.pivots >= 1
+    crashed = FeasibilityLP(A, slack.basis)
+    assert np.array_equal(crashed.basis, slack.basis)
+    assert np.array_equal(lp_feasible(crashed, b), x)
+    assert crashed.pivots == 0

@@ -747,6 +747,29 @@ def test_warm_verdicts_match_cold_solves(make, monkeypatch):
         assert lp_feasible(FeasibilityLP(A), b) is None
 
 
+def test_crash_basis_saves_first_call_pivots(monkeypatch):
+    """On reference seed 1 drop 0 the solve's first LP call, which starts
+    from the crash basis, gives the slack start's verdict and point in
+    fewer pivots."""
+    cfg, eps, (stats, cache, se) = _reference_drop_0()
+    calls = []
+
+    def spy(lp, b):
+        before = lp.pivots
+        x = lp_feasible(lp, b)
+        calls.append((lp.A, b, x, lp.pivots - before))
+        return x
+
+    monkeypatch.setattr(maxmin, "lp_feasible", spy)
+    solve_maxmin(stats, cache, se, cfg, eps=eps)
+    A, b, x, pivots = calls[0]
+    slack = FeasibilityLP(A)
+    want = lp_feasible(slack, b)
+    assert x is not None and want is not None
+    assert np.array_equal(x, want)
+    assert pivots < slack.pivots
+
+
 def _exact_cut_excess(y, need, energy):
     """y . need - h(y), h(y) = sum_l max(0, max_i (sum_k y_k E_k)_il), in
     exact rational arithmetic from the floats y, need and the energy
