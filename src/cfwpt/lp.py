@@ -14,18 +14,17 @@ handed out in A's own row units (FeasibilityLP.farkas).
 A FeasibilityLP holds one A, equilibrated once, and the simplex state
 of its last call: the final basis and its fresh B^-1, from which the
 next call starts (the bisection probes differ in b only), so it needs
-a few pivots and no factorization.  The first call starts from a
-caller's crash basis if one is given (any basis is dual feasible), or
-from the all-slack basis.  A B^-1 with an entry above MAX_INVERSE, or
-a singular start basis, gives way to the all-slack basis, and a call
-that raises leaves the all-slack basis behind.  Since each verdict is
-refactored from its final basis, two starts that reach the same final
-basis give the same point or Farkas row.  Every pivot is priced by one rule:
-the leaving row by dual steepest edge, the entering column as that
-row's most negative entry.  A basic variable counts as feasible down to
-a tolerance scaled by its row of B^-1 and the largest |b|, so a
-degenerate variable that rounding in B^-1 puts a little below zero does
-not count as infeasible.  A cap of PIVOT_CAP_FACTOR * (10 + 2m + n)
+a few pivots and no factorization.  The first call starts from the
+caller's crash basis, if any (every basis is dual feasible); a singular
+one, or a B^-1 with an entry above MAX_INVERSE, gives way to the
+all-slack basis, and a call that raises leaves the all-slack basis
+behind.  Starts that reach the same final basis give the same point or
+Farkas row, as each is read off a fresh factorization of that basis.
+Every pivot is priced by one rule: the leaving row by dual steepest
+edge, the entering column as that row's most negative entry.  A basic
+variable counts as feasible down to a tolerance scaled by its row of
+B^-1 and the largest |b|, so a degenerate variable that rounding in
+B^-1 puts a little below zero does not count as infeasible.  A cap of PIVOT_CAP_FACTOR * (10 + 2m + n)
 pivots on m rows and n variables bounds each call.
 
 The raw data spans many orders of magnitude (power coefficients around
@@ -62,12 +61,11 @@ class FeasibilityLP:
     scaling keeps the feasible set; column scaling substitutes x' =
     col_scale x.  basis (m,) names the column of M basic in each row:
     j < n is variable j, n + i the slack of row i; Binv is its inverse
-    as factored, not updated.  The first call starts from the basis
-    given, or from the all-slack one if none is given or the one given
-    is singular or has an inverse entry above MAX_INVERSE.  farkas (m,) is the row of B^-1 that
-    certified the last infeasible verdict, in A's row units: y >= 0,
-    y A >= 0 and y b < 0 up to rounding (None after a feasible one).
-    pivots counts pivots over all calls.
+    as factored, not updated: at first the start basis given, unless it
+    is singular, else the all-slack one.  farkas (m,) is the row of B^-1 that certified the
+    last infeasible verdict, in A's row units: y >= 0, y A >= 0 and
+    y b < 0 up to rounding (None after a feasible one).  pivots counts
+    pivots over all calls.
     """
 
     def __init__(self, A, basis=None):
@@ -83,11 +81,10 @@ class FeasibilityLP:
         self.farkas, self.pivots = None, 0
         if basis is not None:
             try:
-                Binv = np.linalg.inv(self.M[:, basis])
+                self.basis, self.Binv = (np.array(basis),
+                                         np.linalg.inv(self.M[:, basis]))
             except np.linalg.LinAlgError:
-                return
-            if np.abs(Binv).max() <= MAX_INVERSE:     # also catches NaN
-                self.basis, self.Binv = np.array(basis), Binv
+                pass
 
     def _slacks(self):
         """The all-slack basis and its inverse."""

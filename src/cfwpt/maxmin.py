@@ -3,7 +3,7 @@
 Alternates between a feasibility test over the downlink powers p_il
 and uplink powers eta_k (fixed weights), and the closed-form optimal
 fusion weights (fixed powers), bracketing the best worst-case SINR t by
-bisection with bracket doubling after every certified step.
+bisection, reset to [t*, upper_bound_tmax] after every certified step.
 
 With the weights fixed, the least uplink powers that reach t come from
 a linear solve, so the LP only asks whether the APs can deliver the
@@ -11,10 +11,11 @@ energy those powers need.  One _EnergyLP per solve poses it on one
 lp.FeasibilityLP, whose rows stay fixed while only the needs change, in
 one run per weight vector: one stacked solve (minimum_uplink_powers)
 gives the needs of the targets the bisection would try, and cuts settle
-most before the LP runs.  Each infeasible verdict leaves a Farkas row y
-(FeasibilityLP.farkas) whose energy entries, clipped to y >= 0, make a
-cut: with g = sum_k y_k E_k over the per-share energy rows E, every budget
-split q >= 0 with sum_i q_il <= 1 has y . E q = sum_il g_il q_il <=
+most before the LP runs, whose first call starts from a crash basis.
+Each infeasible verdict leaves a Farkas row y (FeasibilityLP.farkas)
+whose energy entries, clipped to y >= 0, make a cut: with g =
+sum_k y_k E_k over the per-share energy rows E, every budget split
+q >= 0 with sum_i q_il <= 1 has y . E q = sum_il g_il q_il <=
 h(y) = sum_l max(0, max_i g_il).  So a need (margin included) with
 y . need > h(y) is infeasible, an exact proof without LP tolerance that
 holds whatever the weights, and its probe makes no LP call.  LP
@@ -128,13 +129,13 @@ class _EnergyLP:
     def __init__(self, cache, coef, cfg):
         self.coef, self.cfg = coef, cfg
         self.scale = cfg.rho_d / cache.tr_rhat      # q_il -> p_il
-        A = build_feasibility_lp(cache, coef, cfg)
         # Crash basis: energy row k on UE k's own beam at the AP where it
         # gives k the most energy per budget share; budget rows on slacks.
-        K, L = cfg.K, cfg.L
-        own = -A[:K].reshape(K, K, L)[np.arange(K), np.arange(K)]
+        K, L = self.scale.shape
+        own = np.einsum("kkl->kl", coef) * self.scale
         start = np.arange(K) * L + own.argmax(axis=1)
-        self.lp = FeasibilityLP(A, np.append(start, K * L + K + np.arange(L)))
+        self.lp = FeasibilityLP(build_feasibility_lp(cache, coef, cfg),
+                                np.append(start, K * L + K + np.arange(L)))
         self.cut_y, self.cut_h = np.empty((0, cfg.K)), np.empty(0)
         self.lp_calls = 0
 
@@ -207,16 +208,14 @@ def _decoding_weights(w, se):
 
 
 def upper_bound_tmax(se, cache, stats, cfg):
-    """Worst per-UE SINR when each UE alone gets every AP's full budget.
-
-    In isolation the SINR of a UE is only higher than in any shared
-    allocation, so the minimum over UEs brackets the max-min optimum
-    from above.  Zero means some UE cannot cover its pilot energy even
-    under this most generous allocation.
-    """
-    coef = np.einsum("kkl->kl", energy_coefficient_table(se, cfg))
-    # UE k alone: p_kl = rho_d / tr(Rhat_kl), every other row of p zero.
-    energy = np.sum(cfg.rho_d / cache.tr_rhat * coef, axis=1)
+    """Worst per-UE SINR when each UE harvests the most it can and
+    transmits alone: every AP spends its whole budget on the beam that
+    gives that UE the most energy per budget share (at low pilot SNR,
+    maybe another UE's).  No feasible allocation does better, so the
+    minimum over UEs bounds the max-min optimum from above; zero means
+    some UE cannot cover its pilot energy even so."""
+    per_share = energy_coefficient_table(se, cfg) * cfg.rho_d / cache.tr_rhat
+    energy = per_share.max(axis=1).sum(axis=1)
     eta = np.maximum(0.0, (energy - cfg.tau_p * cfg.rho_p) / cfg.tau_u)
     a = _decoding_weights(np.diag(eta), se)
     # With its optimal weights a_k^H b_k = a_k^H M_k a_k = q_k, so the
@@ -252,9 +251,9 @@ def solve_maxmin(stats, cache, se, cfg, eps=1e-2):
     """Alternating bisection for the max-min fair SINR problem.
 
     Each feasible probe is re-certified with refreshed optimal weights;
-    the bracket becomes [t_star, 2 t_star] after every certified step
-    (the doubling can re-open a closed bracket, which is why the best
-    certified iterate is remembered and returned).  A feasible probe
+    the bracket becomes [t_star, upper_bound_tmax] after every certified
+    step (which can re-open a closed bracket, so the best certified
+    iterate is remembered and returned).  A feasible probe
     whose certified value does not advance the bracket closes it from
     above instead: with exact arithmetic that never happens
     (feasibility at t certifies at least t), but in float the probe's
@@ -268,7 +267,8 @@ def solve_maxmin(stats, cache, se, cfg, eps=1e-2):
     terms = sinr_terms(np.ones_like(se.b, dtype=complex), se)
     trace = []
 
-    t_min, t_max = 0.0, upper_bound_tmax(se, cache, stats, cfg)
+    t_upper = upper_bound_tmax(se, cache, stats, cfg)
+    t_min, t_max = 0.0, t_upper
     best = None
     while t_max - t_min > eps and len(trace) < MAX_PROBES:
         # The targets the bisection tries, up to its first feasible one.
@@ -287,7 +287,7 @@ def solve_maxmin(stats, cache, se, cfg, eps=1e-2):
             best = cert
         trace.append((t, True, best.t_star))
         if t_star > t_min + 1e-9 * max(1.0, t_min):
-            t_min, t_max = t_star, 2.0 * t_star
+            t_min, t_max = t_star, t_upper
         else:
             t_min, t_max = max(t_min, t_star), t
 

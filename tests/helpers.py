@@ -267,7 +267,8 @@ def sequential_bisection(stats, cache, se, cfg, eps):
 
     terms = sinr_terms(np.ones_like(se.b, dtype=complex), se)
     trace, best = [], None
-    t_min, t_max = 0.0, maxmin.upper_bound_tmax(se, cache, stats, cfg)
+    t_upper = maxmin.upper_bound_tmax(se, cache, stats, cfg)
+    t_min, t_max = 0.0, t_upper
     while t_max - t_min > eps and len(trace) < maxmin.MAX_PROBES:
         t = 0.5 * (t_min + t_max)
         alloc = probe(t, terms)
@@ -280,7 +281,7 @@ def sequential_bisection(stats, cache, se, cfg, eps):
         best = t_star if best is None else max(best, t_star)
         trace.append((t, True, best))
         if t_star > t_min + 1e-9 * max(1.0, t_min):
-            t_min, t_max = t_star, 2.0 * t_star
+            t_min, t_max = t_star, t_upper
         else:
             t_min, t_max = max(t_min, t_star), t
     if best is None and t_max > 0.0:

@@ -423,15 +423,20 @@ def test_upper_bound_zero_when_pilot_unaffordable():
 
 
 def _isolation_bound(se, cache, cfg):
-    """The isolation bound written out UE by UE: UE k alone gets every
-    AP's full budget (one-hot p), its weights come from its own linear
-    solve, and its SINR is the scalar ratio of quadratic forms."""
+    """The isolation bound written out UE by UE: UE k harvests the most,
+    each AP spending its full budget on the one beam that gives k the
+    most energy (one-hot p per AP), and transmits alone; its weights
+    come from its own linear solve, and its SINR is the scalar ratio of
+    quadratic forms."""
     K, L = cache.tr_rhat.shape
     table = energy_coefficient_table(se, cfg)
     worst = np.inf
     for k in range(K):
         p = np.zeros((K, L))
-        p[k] = cfg.rho_d / cache.tr_rhat[k]
+        for l in range(L):
+            full = cfg.rho_d / cache.tr_rhat[:, l]     # budget on beam i
+            i = np.argmax(full * table[k, :, l])
+            p[i, l] = full[i]
         energy = np.sum(p * table[k])
         eta = max(0.0, (energy - cfg.tau_p * cfg.rho_p) / cfg.tau_u)
         m = eta * se.C[k, k] + np.diag(se.D[k])
@@ -455,6 +460,18 @@ def test_upper_bound_matches_per_ue_isolation_bound_on_reference_drop():
     want = _isolation_bound(se, cache, cfg)
     assert want > 0.0
     assert upper_bound_tmax(se, cache, stats, cfg) == pytest.approx(want, rel=1e-12)
+
+
+def test_upper_bound_covers_the_best_beam_on_reference_seed_1_drop_33():
+    """At low pilot SNR another UE's beam can give a UE more energy per
+    budget share than its own: on reference seed 1 drop 33 the bound
+    with every AP on each UE's own beam falls 3.6e-4 below the isolation
+    bound with every AP on each UE's best beam, and so is no bound."""
+    cfg, prop = load_config(CONFIGS / "reference.cfg")
+    stats, cache, se = build_drop(cfg, prop, _setup_rng(1, 33)[0])
+    want = _isolation_bound(se, cache, cfg)
+    assert want > 0.0
+    assert upper_bound_tmax(se, cache, stats, cfg) >= want * (1.0 - 1e-12)
 
 
 def test_upper_bound_monotone_in_ap_budget():
@@ -511,9 +528,12 @@ def test_solver_closes_bracket_when_a_certificate_does_not_advance(
         return cert, terms
     monkeypatch.setattr(maxmin, "_certify", stalled)
     res = solve_maxmin(stats, cache, se, cfg, eps=1e-3)
-    second = [i for i, entry in enumerate(res.trace) if entry[1]][1]
+    first, second = [i for i, entry in enumerate(res.trace) if entry[1]][:2]
     t1, t2 = certs[0].t_star, res.trace[second][0]
-    assert t1 < t2 < 2.0 * t1
+    # After the first step the bracket is [t1, t_upper], t_upper proved.
+    t_upper = upper_bound_tmax(se, cache, stats, cfg)
+    assert res.trace[first + 1][0] == 0.5 * (t1 + t_upper)
+    assert t1 < t2 < t_upper
     assert res.trace[second][2] == t1
     # The next probe bisects [t1, t2]: t_max fell to the probe's target.
     assert res.trace[second + 1][0] == 0.5 * (t1 + t2)
@@ -783,14 +803,14 @@ def _exact_cut_excess(y, need, energy):
 
 
 def test_energy_cuts_are_exact(monkeypatch):
-    """On 20 small random drops, each cut rules out the probe whose LP
+    """On 40 small random drops, each cut rules out the probe whose LP
     verdict made it, and each probe a cut settles returns no allocation
     and is infeasible by the exact rational oracle, every cut that fired
     holding in exact arithmetic as well."""
     cfg = ScenarioConfig(L=3, K=3, N=4, tau_p=2, tau_d=25, tau_u=173,
                          rho_d=1.0)
     calls = _spy_probes(monkeypatch)
-    for i in range(20):
+    for i in range(40):
         rng = np.random.default_rng(np.random.SeedSequence(2718,
                                                            spawn_key=(i,)))
         stats, cache, se = build_drop(cfg, PropagationModel(), rng)
@@ -821,7 +841,7 @@ def test_large_array_lp_verdicts_match_exact_oracle(monkeypatch):
     """Every LP verdict of a production-shaped solve, perfbench's
     large_array shape (L = 4, K = 8, N = 128; 40 variables, 12 rows) at
     seed 1 drop 0, equals the exact rational oracle's on the same A and b:
-    6 calls, 2 of them infeasible."""
+    7 calls, 1 of them infeasible."""
     cfg = ScenarioConfig(L=4, K=8, N=128, tau_p=4, tau_d=25, tau_u=171,
                          rho_d=1.0)
     verdicts, lp = [], maxmin.lp_feasible
@@ -834,8 +854,8 @@ def test_large_array_lp_verdicts_match_exact_oracle(monkeypatch):
     monkeypatch.setattr(maxmin, "lp_feasible", spy)
     stats, cache, se = build_drop(cfg, PropagationModel(), _setup_rng(1, 0)[0])
     solve_maxmin(stats, cache, se, cfg)
-    assert len(verdicts) == 6
-    assert sum(not got for *_, got in verdicts) == 2
+    assert len(verdicts) == 7
+    assert sum(not got for *_, got in verdicts) == 1
     for A, b, got in verdicts:
         assert got == oracle_feasible(A, b)
 
@@ -865,24 +885,27 @@ def test_reference_seed_2_drop_6_is_solved():
 
 
 def test_reference_seed_2_drop_6_first_probe_is_certified():
-    """The drop's first probe (t = t_max / 2, uniform weights) is a cold
-    LP of 36 rows and 320 variables.  A pivot on an entry of 1.6e-10 of
-    its row of B^-1, drift rather than a true entry, once left a
-    singular basis; confirming it fell back to the slack basis and the
-    same pivots replayed up to the pivot cap.  Now the verdict is
-    infeasible and energy_lp.lp.farkas is a Farkas certificate, up to
-    rounding of 1e-12 relative to the sums in y A."""
+    """The drop's first probe (t = t_max / 2, uniform weights) is its
+    first LP call, of 36 rows and 320 variables, from the crash basis.
+    From the slack basis, a pivot on an entry of 1.6e-10 of its row of
+    B^-1, drift rather than a true entry, once left a singular basis;
+    confirming it fell back to the slack basis and the same pivots
+    replayed up to the pivot cap.  Now the verdict from either start is
+    infeasible and lp.farkas is a Farkas certificate, up to rounding of
+    1e-12 relative to the sums in y A."""
     cfg, (stats, cache, se) = _reference_seed_2_drop_6()
     energy_lp = maxmin._EnergyLP(cache, energy_coefficient_table(se, cfg), cfg)
     terms = sinr_terms(np.ones((cfg.K, cfg.L), dtype=complex), se)
     t = 0.5 * upper_bound_tmax(se, cache, stats, cfg)
     assert energy_lp.run([t], terms)[1] is None and energy_lp.lp_calls == 1
-    y, A = energy_lp.lp.farkas, energy_lp.lp.A
-    b = _posed_b(t, terms, cfg)
+    A, b = energy_lp.lp.A, _posed_b(t, terms, cfg)
     assert A.shape == (36, 320)
-    assert np.all(y >= 0.0)
-    assert np.all(y @ A >= -1e-12 * (y @ np.abs(A)))
-    assert y @ b < 0.0
+    slack = FeasibilityLP(A)
+    assert lp_feasible(slack, b) is None
+    for y in (energy_lp.lp.farkas, slack.farkas):
+        assert np.all(y >= 0.0)
+        assert np.all(y @ A >= -1e-12 * (y @ np.abs(A)))
+        assert y @ b < 0.0
 
 
 def test_large_network_drop_is_solved():
@@ -893,6 +916,6 @@ def test_large_network_drop_is_solved():
     stats, cache, se = build_drop(cfg, prop, _setup_rng(1, 0)[0])
     res = solve_maxmin(stats, cache, se, cfg)
     assert res.status == "solved"
-    assert res.t_star == pytest.approx(4.039092, rel=1e-6)
+    assert res.t_star == pytest.approx(4.041255, rel=1e-6)
     ap, energy = _budget_shortfall(res, cache, se, cfg)
     assert ap <= 1e-12 and energy <= 1e-12
