@@ -24,8 +24,9 @@ Every pivot is priced by one rule: the leaving row by dual steepest
 edge, the entering column as that row's most negative entry.  A basic
 variable counts as feasible down to a tolerance scaled by its row of
 B^-1 and the largest |b|, so a degenerate variable that rounding in
-B^-1 puts a little below zero does not count as infeasible.  A cap of PIVOT_CAP_FACTOR * (10 + 2m + n)
-pivots on m rows and n variables bounds each call.
+B^-1 puts a little below zero does not count as infeasible.  A cap of
+PIVOT_CAP_FACTOR * (10 + 2m + n) pivots on m rows and n variables
+bounds each call.
 
 The raw data spans many orders of magnitude (power coefficients around
 1e7 against harvested energies around 1e-7), so the rows and columns of
@@ -62,10 +63,10 @@ class FeasibilityLP:
     col_scale x.  basis (m,) names the column of M basic in each row:
     j < n is variable j, n + i the slack of row i; Binv is its inverse
     as factored, not updated: at first the start basis given, unless it
-    is singular, else the all-slack one.  farkas (m,) is the row of B^-1 that certified the
-    last infeasible verdict, in A's row units: y >= 0, y A >= 0 and
-    y b < 0 up to rounding (None after a feasible one).  pivots counts
-    pivots over all calls.
+    is singular, else the all-slack one.  farkas (m,) is the row of B^-1
+    that certified the last infeasible verdict, in A's row units:
+    y >= 0, y A >= 0 and y b < 0 up to rounding (None after a feasible
+    one).  pivots counts pivots over all calls.
     """
 
     def __init__(self, A, basis=None):
