@@ -12,7 +12,9 @@ commits the new record in the same diff.
     python scripts/answer_record.py
 
 prints every field that moved against the committed record, drop by
-drop, then writes the new one in its place.
+drop, then one line per optimize config with its solver counts per drop
+(probes, LP calls, pivots and certified steps, record -> rerun), and
+writes the new record in place of the old.
 """
 
 import io
@@ -99,11 +101,39 @@ def shifts(old, new):
     return lines
 
 
+# The solver counts averaged per drop: (label, count of one manifest record).
+COUNTS = (
+    ("probes", lambda r: r["probes"]),
+    ("LP calls", lambda r: r["lp_calls"]),
+    ("pivots", lambda r: r["lp_pivots"]),
+    ("certified steps", lambda r: r["probes"] - r["infeasible_probes"]),
+)
+
+
+def count_lines(old, new):
+    """One line per optimize config: the mean of each of COUNTS over its
+    drops, record -> rerun."""
+    lines = []
+    for config in dict.fromkeys(r["config"] for r in new
+                                if r["command"] == "optimize"):
+        sides = [[r for r in rows if r["command"] == "optimize"
+                  and r["config"] == config] for rows in (old, new)]
+        means = [f"{label} " + " -> ".join(
+                     f"{sum(map(count, rows)) / len(rows):.2f}" if rows
+                     else "-" for rows in sides)
+                 for label, count in COUNTS]
+        lines.append(f"{config}, {len(sides[1])} drops, per drop: "
+                     + ", ".join(means))
+    return lines
+
+
 def main():
     rows = [row for case in OPTIMIZE_CASES for row in optimize_rows(*case)]
     rows += [validate_row(config) for config in VALIDATE_CASES]
-    moved = shifts(read(), rows) if RECORD.exists() else []
+    old = read() if RECORD.exists() else []
+    moved = shifts(old, rows)
     print("\n".join(moved) if moved else "no field moved")
+    print("\n".join(count_lines(old, rows)))
     # One row per line, so a drop that moved is one line of the diff.
     RECORD.write_text("[\n" + ",\n".join(json.dumps(r, sort_keys=True)
                                          for r in rows) + "\n]\n")

@@ -4,6 +4,8 @@ Alternates between a feasibility test over the downlink powers p_il
 and uplink powers eta_k (fixed weights), and the closed-form optimal
 fusion weights (fixed powers), bracketing the best worst-case SINR t by
 bisection, reset to [t*, upper_bound_tmax] after every certified step.
+A run whose top target held makes the next also try the upper half of
+the bracket, at the mirror images of its lower rungs (solve_maxmin).
 
 With the weights fixed, the least uplink powers that reach t come from
 a linear solve, so the LP only asks whether the APs can deliver the
@@ -250,18 +252,21 @@ MAX_PROBES = 200
 def solve_maxmin(stats, cache, se, cfg, eps=1e-2):
     """Alternating bisection for the max-min fair SINR problem.
 
-    Each feasible probe is re-certified with refreshed optimal weights;
-    the bracket becomes [t_star, upper_bound_tmax] after every certified
-    step (which can re-open a closed bracket, so the best certified
-    iterate is remembered and returned).  A feasible probe
-    whose certified value does not advance the bracket closes it from
-    above instead: with exact arithmetic that never happens
-    (feasibility at t certifies at least t), but in float the probe's
-    uplink powers can fall marginally short of t once capped at the
-    harvest, and re-opening on such probes would keep the loop alive
-    forever.
-    Stops once the bracket is narrower than eps or MAX_PROBES probes
-    have run.
+    Each run tries, under the current weights, the bracket's midpoint
+    and its halvings toward t_min; the first feasible probe is
+    re-certified with refreshed optimal weights, and the bracket becomes
+    [t_star, upper_bound_tmax] (which can re-open a closed bracket, so
+    the best certified iterate is remembered and returned).  If the
+    last run's top target held, t* may lie in the upper half, so the
+    run first tries the mirror t_min + t_max - t of each rung t below
+    the midpoint, highest first; every rung counts toward MAX_PROBES.
+    A feasible probe whose certified value does not advance the bracket
+    closes it from above instead: with exact arithmetic that never
+    happens (feasibility at t certifies at least t), but in float the
+    probe's uplink powers can fall marginally short of t once capped at
+    the harvest, and re-opening on such probes would keep the loop
+    alive forever.  Stops once the bracket is narrower than eps or
+    MAX_PROBES probes have run.
     """
     energy_lp = _EnergyLP(cache, energy_coefficient_table(se, cfg), cfg)
     terms = sinr_terms(np.ones_like(se.b, dtype=complex), se)
@@ -269,12 +274,14 @@ def solve_maxmin(stats, cache, se, cfg, eps=1e-2):
 
     t_upper = upper_bound_tmax(se, cache, stats, cfg)
     t_min, t_max = 0.0, t_upper
-    best = None
+    best, i = None, None
     while t_max - t_min > eps and len(trace) < MAX_PROBES:
-        # The targets the bisection tries, up to its first feasible one.
         ts = [0.5 * (t_min + t_max)]
         while ts[-1] - t_min > eps and len(trace) + len(ts) < MAX_PROBES:
             ts.append(0.5 * (t_min + ts[-1]))
+        if i == 0:      # the last run's top target held: mirror rungs first
+            ts = [t_min + t_max - t for t in ts[:0:-1]] + ts
+            ts = ts[:MAX_PROBES - len(trace)]
         i, alloc = energy_lp.run(ts, terms)
         trace += [(t, False, None) for t in ts[:i]]
         if alloc is None:

@@ -230,7 +230,11 @@ def sequential_bisection(stats, cache, se, cfg, eps):
     LP call on the carried basis.  The first call starts from the crash
     basis: energy row k on q_kl* (index k L + l*), l* the AP whose beam
     to UE k gives k the most energy per budget share, and the budget
-    rows on their slacks."""
+    rows on their slacks.  Each weight vector's rungs are the halvings
+    of the bracket toward t_min; after a weight vector whose first rung
+    held, each rung below the midpoint is first tried at its mirror
+    image t_min + t_max - t, the mirrors highest first, all rungs
+    within MAX_PROBES."""
     coef = maxmin.energy_coefficient_table(se, cfg)
     scale = cfg.rho_d / cache.tr_rhat
     K, L = cfg.K, cfg.L
@@ -269,11 +273,22 @@ def sequential_bisection(stats, cache, se, cfg, eps):
     trace, best = [], None
     t_upper = maxmin.upper_bound_tmax(se, cache, stats, cfg)
     t_min, t_max = 0.0, t_upper
+    first_held = False
     while t_max - t_min > eps and len(trace) < maxmin.MAX_PROBES:
-        t = 0.5 * (t_min + t_max)
-        alloc = probe(t, terms)
-        if alloc is None:
+        room = maxmin.MAX_PROBES - len(trace)
+        rungs = [0.5 * (t_min + t_max)]
+        while rungs[-1] - t_min > eps and len(rungs) < room:
+            rungs.append(0.5 * (t_min + rungs[-1]))
+        if first_held:
+            mirrors = [t_min + t_max - t for t in rungs[1:]]
+            rungs = (mirrors[::-1] + rungs)[:room]
+        for j, t in enumerate(rungs):
+            alloc = probe(t, terms)
+            if alloc is not None:
+                break
             trace.append((t, False, None))
+        first_held = alloc is not None and j == 0
+        if alloc is None:
             t_max = t
             continue
         cert, terms = maxmin._certify(alloc, se, cfg)

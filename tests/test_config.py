@@ -38,26 +38,29 @@ def test_tau_split_must_sum():
     assert "tau_c" not in {f.name for f in fields(ScenarioConfig)}
 
 
+# Each case carries its id, so adding or removing a case renames no other
+# case.  The ids bad0... are the names these cases have always had; a new
+# case takes the offending key as its id.
 @pytest.mark.parametrize(
     "bad",
     [
-        dict(mu=1.5),
-        dict(mu=-0.1),
-        dict(rho_d=0.0),
-        dict(sigma2=-1.0),
-        dict(L=0, tau_p=5),
-        dict(area_side=-5.0),
-        dict(mc_samples=0),
-        dict(seed=-1),
-        dict(rho_p=math.nan),
-        dict(rho_d=math.inf),
-        dict(sigma2=math.nan),
-        dict(area_side=math.nan),
-        dict(carrier_freq=-1.0),
-        dict(carrier_freq=math.inf),
-        dict(height_diff=-1.0),
-        dict(height_diff=math.nan),
-        dict(mc_samples=1),
+        pytest.param(dict(mu=1.5), id="bad0"),
+        pytest.param(dict(mu=-0.1), id="bad1"),
+        pytest.param(dict(rho_d=0.0), id="bad2"),
+        pytest.param(dict(sigma2=-1.0), id="bad3"),
+        pytest.param(dict(L=0, tau_p=5), id="bad4"),
+        pytest.param(dict(area_side=-5.0), id="bad5"),
+        pytest.param(dict(mc_samples=0), id="bad6"),
+        pytest.param(dict(seed=-1), id="bad7"),
+        pytest.param(dict(rho_p=math.nan), id="bad8"),
+        pytest.param(dict(rho_d=math.inf), id="bad9"),
+        pytest.param(dict(sigma2=math.nan), id="bad10"),
+        pytest.param(dict(area_side=math.nan), id="bad11"),
+        pytest.param(dict(carrier_freq=-1.0), id="bad12"),
+        pytest.param(dict(carrier_freq=math.inf), id="bad13"),
+        pytest.param(dict(height_diff=-1.0), id="bad14"),
+        pytest.param(dict(height_diff=math.nan), id="bad15"),
+        pytest.param(dict(mc_samples=1), id="bad16"),
     ],
 )
 def test_validation_rejects(bad):
@@ -68,11 +71,11 @@ def test_validation_rejects(bad):
 @pytest.mark.parametrize(
     "bad",
     [
-        dict(shadow_std_los=-3.0),
-        dict(shadow_std_nlos=math.nan),
-        dict(pathloss_los=(16.9, math.nan, 20.0)),
-        dict(pathloss_nlos=(43.3, 11.5, math.inf)),
-        dict(pathloss_nlos=(43.3, 11.5)),
+        pytest.param(dict(shadow_std_los=-3.0), id="bad0"),
+        pytest.param(dict(shadow_std_nlos=math.nan), id="bad1"),
+        pytest.param(dict(pathloss_los=(16.9, math.nan, 20.0)), id="bad2"),
+        pytest.param(dict(pathloss_nlos=(43.3, 11.5, math.inf)), id="bad3"),
+        pytest.param(dict(pathloss_nlos=(43.3, 11.5)), id="bad4"),
     ],
 )
 def test_propagation_validation_rejects(bad):

@@ -657,6 +657,11 @@ def _reference_drop_0():
     return cfg, 1e-2, build_drop(cfg, prop, _setup_rng(1, 0)[0])
 
 
+def _large_array_drop(i):
+    cfg, prop = load_config(ROOT / "perfbench" / "large_array.cfg")
+    return cfg, 1e-2, build_drop(cfg, prop, _setup_rng(1, i)[0])
+
+
 def _criterion_8_many_small_aps_drop(i):
     cfg = ScenarioConfig(K=8, tau_p=4, tau_d=25, tau_u=171, L=16, N=4,
                          rho_d=4.0 / 16)
@@ -841,9 +846,8 @@ def test_large_array_lp_verdicts_match_exact_oracle(monkeypatch):
     """Every LP verdict of a production-shaped solve, perfbench's
     large_array shape (L = 4, K = 8, N = 128; 40 variables, 12 rows) at
     seed 1 drop 0, equals the exact rational oracle's on the same A and b:
-    7 calls, 1 of them infeasible."""
-    cfg = ScenarioConfig(L=4, K=8, N=128, tau_p=4, tau_d=25, tau_u=171,
-                         rho_d=1.0)
+    5 calls, 1 of them infeasible."""
+    cfg, eps, (stats, cache, se) = _large_array_drop(0)
     verdicts, lp = [], maxmin.lp_feasible
 
     def spy(problem, b):
@@ -852,12 +856,83 @@ def test_large_array_lp_verdicts_match_exact_oracle(monkeypatch):
         return x
 
     monkeypatch.setattr(maxmin, "lp_feasible", spy)
-    stats, cache, se = build_drop(cfg, PropagationModel(), _setup_rng(1, 0)[0])
-    solve_maxmin(stats, cache, se, cfg)
-    assert len(verdicts) == 7
+    solve_maxmin(stats, cache, se, cfg, eps=eps)
+    assert len(verdicts) == 5
     assert sum(not got for *_, got in verdicts) == 1
     for A, b, got in verdicts:
         assert got == oracle_feasible(A, b)
+
+
+def test_runs_mirror_after_a_held_top_target(monkeypatch):
+    """After a run whose top target held, the next run starts above its
+    bracket's midpoint, on the mirror rungs, and still tries the
+    midpoint; after a run whose top target failed, it starts at the
+    midpoint.  large_array seed 1 drop 0 has runs of both kinds."""
+    cfg, eps, (stats, cache, se) = _large_array_drop(0)
+    runs, certs = [], []
+    run, certify = maxmin._EnergyLP.run, maxmin._certify
+
+    def run_spy(self, ts, terms):
+        i, alloc = run(self, ts, terms)
+        runs.append((list(ts), i))
+        return i, alloc
+
+    def certify_spy(alloc, se, cfg):
+        cert, terms = certify(alloc, se, cfg)
+        certs.append(cert.t_star)
+        return cert, terms
+
+    monkeypatch.setattr(maxmin._EnergyLP, "run", run_spy)
+    monkeypatch.setattr(maxmin, "_certify", certify_spy)
+    solve_maxmin(stats, cache, se, cfg, eps=eps)
+    t_upper = upper_bound_tmax(se, cache, stats, cfg)
+    assert runs[0][0][0] == 0.5 * t_upper
+    t_min, t_max, steps, held = 0.0, t_upper, iter(certs), set()
+    for (ts, i), (after, _) in zip(runs, runs[1:]):
+        if i < len(ts):
+            t_star = next(steps)
+            assert t_star > t_min      # every certified step advances here
+            t_min, t_max = t_star, t_upper
+        else:
+            t_max = ts[-1]
+        mid = 0.5 * (t_min + t_max)
+        if i == 0:
+            assert after[0] > mid and mid in after
+        else:
+            assert after[0] == mid
+        held.add(i == 0)
+    assert held == {True, False}
+
+
+@pytest.mark.parametrize("cap", [4, 8])
+def test_mirror_rungs_count_toward_the_probe_cap(cap, monkeypatch):
+    """On large_array seed 1 drop 0 the first target holds, so the second
+    run starts on a mirror rung above the midpoint of [t1, t_upper], t1
+    the first certified t*.  With MAX_PROBES at cap the mirror rungs
+    count toward it: at most cap probes above t = 0, and cap_hit."""
+    cfg, eps, (stats, cache, se) = _large_array_drop(0)
+    monkeypatch.setattr(maxmin, "MAX_PROBES", cap)
+    res = solve_maxmin(stats, cache, se, cfg, eps=eps)
+    t_upper = upper_bound_tmax(se, cache, stats, cfg)
+    assert res.trace[0][1]
+    assert res.trace[1][0] > 0.5 * (res.trace[0][2] + t_upper)
+    assert sum(t > 0.0 for t, _, _ in res.trace) <= cap
+    assert len(res.trace) <= cap + 1
+    assert res.cap_hit and res.status == "solved"
+
+
+def test_mirrored_ladder_cuts_large_array_lp_calls_and_certified_steps():
+    """Over large_array seed 1 drops 0-19 the solves make at least 20%
+    fewer LP calls and certified steps in all than the ladder without
+    mirror rungs made: 148 LP calls and 130 certified steps then, 109
+    and 88 with them."""
+    calls = steps = 0
+    for i in range(20):
+        cfg, eps, (stats, cache, se) = _large_array_drop(i)
+        res = solve_maxmin(stats, cache, se, cfg, eps=eps)
+        calls += res.lp_calls
+        steps += sum(feasible for _, feasible, _ in res.trace)
+    assert calls <= 0.8 * 148 and steps <= 0.8 * 130
 
 
 def test_non_finite_certificate_fails_loudly(monkeypatch):
