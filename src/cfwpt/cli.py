@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -125,8 +126,7 @@ def run_optimize(cfg, prop, setups, seed, out_dir, jobs=1, config_label="<defaul
         "records": records,
     }
     with open(out / "manifest.json", "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest
 
 
@@ -241,6 +241,7 @@ def _small_default_config():
     return ScenarioConfig(L=2, K=4, N=2, tau_p=2, tau_d=25, tau_u=173)
 
 
+@functools.cache   # one parser per process: parse_args leaves it unchanged
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="cfwpt",

@@ -396,6 +396,39 @@ def test_main_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cached_parser_carries_no_state_between_calls(tmp_path):
+    """One parser serves the whole process, and an option given to one
+    call is back at its default on the next."""
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    assert parser.parse_args(["optimize", "--seed", "4"]).seed == 4
+    assert parser.parse_args(["optimize"]).seed is None
+    assert parser.parse_args(["validate", "--mc-samples", "5"]).mc_samples == 5
+    assert parser.parse_args(["validate"]).mc_samples is None
+
+    argv = ["optimize", "-c", str(CONFIGS / "small_demo.cfg"), "--setups", "1"]
+    assert main(argv + ["--seed", "4", "-o", str(tmp_path / "a")]) == 0
+    assert main(argv + ["-o", str(tmp_path / "b")]) == 0
+    seeds = [json.loads((tmp_path / d / "manifest.json").read_text())["seed"]
+             for d in "ab"]
+    assert seeds == [4, 9]   # 9 is small_demo.cfg's own seed
+
+
+@pytest.mark.parametrize("argv, usage", [
+    (["--help"], "usage: cfwpt [-h] {optimize,validate,cdf}"),
+    (["optimize", "--help"], "usage: cfwpt optimize [-h]"),
+])
+def test_main_help_exits_0(argv, usage, capsys, monkeypatch):
+    """--help prints the usage to stdout and exits 0, the second time too,
+    when the parser comes from the cache."""
+    monkeypatch.setenv("COLUMNS", "80")   # argparse wraps the usage to fit
+    for _ in range(2):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(usage)
+        assert captured.err == ""
+
+
 @pytest.mark.parametrize("command, option, value", [
     ("validate", "--mc-samples", "0"),
     ("validate", "--mc-samples", "-5"),
@@ -510,6 +543,14 @@ def test_cli_import_leaves_out_process_pool():
         " if m in sys.modules))\n"
     )
     assert _last_line_in_fresh_interpreter(script) == "[]"
+
+
+def test_cli_import_builds_no_parser():
+    """The parser is built on the first call, not at import, so importing
+    the CLI costs no argparse set-up."""
+    script = ("import cfwpt.cli\n"
+              "print(cfwpt.cli.build_parser.cache_info().currsize)\n")
+    assert _last_line_in_fresh_interpreter(script) == "0"
 
 
 def test_failed_setup_is_isolated(tmp_path, capsys, monkeypatch):
