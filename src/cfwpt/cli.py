@@ -34,7 +34,9 @@ from .maxmin import fpc_baseline, solve_maxmin
 from .wit import lsfd_statistics, se_sums
 from .wpt import energy_sums, harvested_energy, harvested_energy_coefficients
 
-MAX_VALIDATE_SIZE = 1024      # cap on L*N*K, which bounds validate's time and memory
+# Cap on L*N*K.  It bounds validate's time and its memory, which is one
+# batch's random numbers plus a few slice-sized arrays (channel.MC_SLICE).
+MAX_VALIDATE_SIZE = 1024
 
 
 def _fmt(v):

@@ -148,12 +148,14 @@ class _EnergyLP:
 
         The least uplink powers reaching each t fix the UEs' energy
         needs, margin included.  The cuts test them all at once, the LP
-        the first one left open, and each new cut the needs after
-        it.  The LP point is mapped back to powers with every AP budget
-        clipped to at most rho_d, and the energy is re-evaluated in
-        float: eta is capped at what the harvest covers after the pilot,
-        and the probe fails if some UE cannot even pay for its pilot.  So
-        the returned allocation meets both budgets by construction.
+        the first one left open, and each new cut the needs after it.
+        A new cut that does not rule out its own verdict's need raises
+        RuntimeError, so an unproved verdict fails the drop.  The LP
+        point is mapped back to powers with every AP budget clipped to
+        at most rho_d, and the energy is re-evaluated in float: eta is
+        capped at what the harvest covers after the pilot, and the probe
+        fails if some UE cannot even pay for its pilot.  So the returned
+        allocation meets both budgets by construction.
         """
         cfg = self.cfg
         pilot = cfg.tau_p * cfg.rho_p
@@ -173,6 +175,13 @@ class _EnergyLP:
                 y = np.maximum(self.lp.farkas[:cfg.K], 0.0)
                 g = -(y @ self.lp.A[:cfg.K]).reshape(cfg.K, -1).min(axis=0)
                 h = np.maximum(g, 0.0).sum()
+                # The verdict is trusted only through its own cut: one that
+                # does not rule out this need would lower t_max unproved.
+                if not need[j] @ y > (1.0 + CUT_RTOL) * h:
+                    raise RuntimeError(
+                        f"infeasible LP verdict at t = {ts[i]:.6g} not proved "
+                        f"by its Farkas row: y . need = {need[j] @ y:.6g}, "
+                        f"h(y) = {h:.6g}")
                 self.cut_y = np.vstack([self.cut_y, y])
                 self.cut_h = np.append(self.cut_h, h)
                 unsettled[j + 1:] &= need[j + 1:] @ y <= (1.0 + CUT_RTOL) * h

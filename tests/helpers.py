@@ -139,6 +139,43 @@ def ap_transmit_powers(p, cache):
     return np.einsum("kl,kl->l", np.asarray(p, dtype=float), cache.tr_rhat)
 
 
+def written_out_draws(stats, cfg, n, rng):
+    """One batch of the draw stream, written out batch-first.
+
+    The per-link phases, the scattering's real then imaginary normals,
+    then the shared per-pilot noise, each drawn for a (n, ...) shape;
+    returns the realizations g and the per-UE pilot observations z,
+    both (n, K, L, N).
+    """
+    K, L, N = stats.gbar.shape
+    theta = rng.uniform(0.0, 2.0 * np.pi, (n, K, L))
+    shape = (n, K, L, N)
+    scatter = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
+        * np.sqrt(0.5)
+    g = np.exp(1j * theta)[..., None] * stats.gbar \
+        + scatter * np.sqrt(stats.beta)[..., None]
+    shape = (n, cfg.tau_p, L, N)
+    z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
+        * np.sqrt(0.5) * np.sqrt(cfg.sigma2)
+    for t in range(cfg.tau_p):
+        z[:, t] += np.sqrt(cfg.rho_p * cfg.tau_p) \
+            * g[:, stats.pilot_of == t].sum(axis=1)
+    return g, z[:, stats.pilot_of]
+
+
+def join_batches(slices):
+    """draw_estimates' slices of one array, (..., slice) each, joined
+    into batches of MC_BATCH blocks along the last axis (the last batch
+    may be shorter)."""
+    batches, done = [], 0
+    for x in slices:
+        if done % MC_BATCH == 0:
+            batches.append([])
+        batches[-1].append(x)
+        done += x.shape[-1]
+    return [np.concatenate(batch, axis=-1) for batch in batches]
+
+
 # The Monte Carlo contractions in batch-first einsum form, (batch, K, L, N)
 # with the draws on the leading axis.  The package draws and contracts
 # (K, L, N, batch); these are the references it is checked against.

@@ -1,18 +1,28 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cfwpt.channel import (
     MC_BATCH,
+    MC_SLICE,
     draw_estimates,
     mean_and_stderr,
+    monte_carlo,
     sample_pilot_observation,
     sample_realization,
 )
 from cfwpt.estimation import build_cache, lmmse_estimate
-from cfwpt.wit import se_statistics_oracle
-from cfwpt.wpt import harvested_energy_oracle
+from cfwpt.wit import se_statistics_oracle, se_sums
+from cfwpt.wpt import energy_sums, harvested_energy_oracle
 
-from helpers import einsum_lmmse_estimate, rebuilt_psi, synthetic_stats
+from helpers import (
+    einsum_lmmse_estimate,
+    join_batches,
+    rebuilt_psi,
+    synthetic_stats,
+    written_out_draws,
+)
 
 
 def test_realization_shapes():
@@ -86,41 +96,20 @@ def test_estimate_covariance_matches_rhat():
 
 
 def test_draw_estimates_batches_and_order():
-    """Batches of MC_BATCH blocks plus a short last one, each drawn as
-    realization, then pilot observation, then the LMMSE estimate."""
+    """Batches of MC_BATCH blocks plus a short last one, handed out in
+    slices of MC_SLICE blocks.  Each batch is drawn as realization, then
+    pilot observation, then the LMMSE estimate: its joined slices are
+    exactly one batch-sized call of each."""
     cfg, stats = synthetic_stats(L=1, K=2, N=2, tau_p=1, seed=35)
-    batches = list(draw_estimates(stats, cfg, MC_BATCH + 3,
-                                  np.random.default_rng(9)))
-    assert [g.shape[-1] for g, _ in batches] == [MC_BATCH, 3]
+    slices = list(draw_estimates(stats, cfg, MC_BATCH + 700,
+                                 np.random.default_rng(9)))
+    assert [g.shape[-1] for g, _ in slices] == [MC_SLICE] * 4 + [700]
     rng = np.random.default_rng(9)
-    g = sample_realization(stats, rng, size=MC_BATCH)
-    z = sample_pilot_observation(g, stats, cfg, rng)
-    assert np.array_equal(batches[0][0], g)
-    assert np.array_equal(batches[0][1], lmmse_estimate(z, stats, cfg))
-
-
-def _written_out_draws(stats, cfg, n, rng):
-    """One batch of the draw stream, written out batch-first.
-
-    The per-link phases, the scattering's real then imaginary normals,
-    then the shared per-pilot noise, each drawn for a (n, ...) shape;
-    returns the realizations g and the per-UE pilot observations z,
-    both (n, K, L, N).
-    """
-    K, L, N = stats.gbar.shape
-    theta = rng.uniform(0.0, 2.0 * np.pi, (n, K, L))
-    shape = (n, K, L, N)
-    scatter = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
-        * np.sqrt(0.5)
-    g = np.exp(1j * theta)[..., None] * stats.gbar \
-        + scatter * np.sqrt(stats.beta)[..., None]
-    shape = (n, cfg.tau_p, L, N)
-    z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
-        * np.sqrt(0.5) * np.sqrt(cfg.sigma2)
-    for t in range(cfg.tau_p):
-        z[:, t] += np.sqrt(cfg.rho_p * cfg.tau_p) \
-            * g[:, stats.pilot_of == t].sum(axis=1)
-    return g, z[:, stats.pilot_of]
+    for g, ghat in zip(*map(join_batches, zip(*slices))):
+        want = sample_realization(stats, rng, size=g.shape[-1])
+        z = sample_pilot_observation(want, stats, cfg, rng)
+        assert np.array_equal(g, want)
+        assert np.array_equal(ghat, lmmse_estimate(z, stats, cfg))
 
 
 @pytest.mark.parametrize("size", [1, 7])
@@ -131,27 +120,47 @@ def test_draw_stream_matches_written_out_formula(size):
     rng, ref = np.random.default_rng(13), np.random.default_rng(13)
     g = sample_realization(stats, rng, size=size)
     z = sample_pilot_observation(g, stats, cfg, rng)
-    want_g, want_z = _written_out_draws(stats, cfg, size, ref)
+    want_g, want_z = written_out_draws(stats, cfg, size, ref)
     assert np.array_equal(g, np.moveaxis(want_g, 0, -1))
     assert np.array_equal(z, np.moveaxis(want_z, 0, -1))
     assert rng.standard_normal() == ref.standard_normal()
 
 
 def test_draw_estimates_stream_matches_written_out_formula():
-    """Every batch of draw_estimates, the short last one too, holds the
-    written-out draws, and its estimates match the batch-first einsum."""
+    """The slices of every batch of draw_estimates, the short last one
+    too, join to the written-out draws, and their estimates match the
+    batch-first einsum."""
     cfg, stats = synthetic_stats(L=2, K=5, N=3, tau_p=2, seed=39)
+    slices = list(draw_estimates(stats, cfg, MC_BATCH + 700,
+                                 np.random.default_rng(14)))
+    assert [g.shape[-1] for g, _ in slices] == [MC_SLICE] * 4 + [700]
     ref = np.random.default_rng(14)
     sizes = []
-    for g, ghat in draw_estimates(stats, cfg, MC_BATCH + 3,
-                                  np.random.default_rng(14)):
-        want_g, want_z = _written_out_draws(stats, cfg, g.shape[-1], ref)
+    for g, ghat in zip(*map(join_batches, zip(*slices))):
+        want_g, want_z = written_out_draws(stats, cfg, g.shape[-1], ref)
         assert np.array_equal(g, np.moveaxis(want_g, 0, -1))
         want_ghat = einsum_lmmse_estimate(want_z, stats, cfg)
         np.testing.assert_allclose(ghat, np.moveaxis(want_ghat, 0, -1),
                                    rtol=1e-12, atol=0)
         sizes.append(g.shape[-1])
-    assert sizes == [MC_BATCH, 3]
+    assert sizes == [MC_BATCH, 700]
+
+
+def test_monte_carlo_batch_memory():
+    """One batch of validate's pass, the energy and SE blocks together, at
+    validate_small's shape allocates at most 3.25 of the batch's
+    (K, L, N, MC_BATCH) complex draw arrays: the batch holds only its
+    random numbers, and the arrays built from them are slice-sized."""
+    cfg, stats = synthetic_stats(L=2, K=4, N=2, tau_p=2, seed=41)
+    unit = np.dtype(complex).itemsize * stats.gbar.size * MC_BATCH
+    blocks = energy_sums(np.ones((4, 2)), cfg), se_sums(cfg)
+    tracemalloc.start()
+    try:
+        monte_carlo(stats, cfg, MC_BATCH, np.random.default_rng(16), *blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * unit, peak / unit
 
 
 def test_mean_and_stderr_total_variance():

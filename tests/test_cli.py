@@ -11,8 +11,8 @@ import pytest
 
 import cfwpt
 
-from cfwpt import channel, cli
-from cfwpt.channel import MC_BATCH, draw_estimates, mean_and_stderr
+from cfwpt import channel, cli, maxmin
+from cfwpt.channel import MC_BATCH, MC_SLICE, draw_estimates, mean_and_stderr
 from cfwpt.cli import (
     MAX_VALIDATE_SIZE,
     _small_default_config,
@@ -26,6 +26,8 @@ from cfwpt.geometry import PropagationModel
 from cfwpt.lp import SimplexIterationError
 from cfwpt.wit import lsfd_statistics, se_sums
 from cfwpt.wpt import harvested_energy, harvested_energy_oracle
+
+from helpers import join_batches, written_out_draws
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -288,17 +290,29 @@ def test_validate_decoding_statistics_replay_one_stream(capsys, monkeypatch):
 
 def test_validate_draws_each_block_once(capsys, monkeypatch):
     """One pass: validate asks the channel for mc_samples realizations in
-    all, not one stream per oracle."""
-    sizes = []
-    sample = channel.sample_realization
+    all, not one stream per oracle.  Its slices join, batch by batch, to
+    the written-out draws of its generator, each batch followed by that
+    batch's energy symbols as one (n, K, L) draw."""
+    cfg, prop = _small_default_config(), PropagationModel()
+    calls, slices = [], []
+    draw = channel.draw_estimates
 
-    def spy(stats, rng, size):
-        sizes.append(size)
-        return sample(stats, rng, size)
-    monkeypatch.setattr(channel, "sample_realization", spy)
-    run_validate(_small_default_config(), PropagationModel(),
-                 mc_samples=MC_BATCH + 700, seed=4)
-    assert sizes == [MC_BATCH, 700]
+    def spy(stats, cfg, mc_samples, rng):
+        calls.append(mc_samples)
+        for g, ghat in draw(stats, cfg, mc_samples, rng):
+            slices.append(g)
+            yield g, ghat
+    monkeypatch.setattr(channel, "draw_estimates", spy)
+    run_validate(cfg, prop, mc_samples=MC_BATCH + 700, seed=4)
+    assert calls == [MC_BATCH + 700]
+    assert [g.shape[-1] for g in slices] == [MC_SLICE] * 4 + [700]
+    stats, _, rng = _validate_drop(cfg, prop, 4)
+    batches = join_batches(slices)
+    for g in batches:
+        want, _ = written_out_draws(stats, cfg, g.shape[-1], rng)
+        rng.uniform(size=(g.shape[-1], cfg.K, cfg.L))   # energy symbols
+        assert np.array_equal(g, np.moveaxis(want, 0, -1))
+    assert [g.shape[-1] for g in batches] == [MC_BATCH, 700]
 
 
 def test_validate_draws_optimize_setup_0(tmp_path, capsys, monkeypatch):
@@ -590,3 +604,42 @@ def test_failed_setup_is_isolated(tmp_path, capsys, monkeypatch):
 
     assert main(["cdf", "-o", str(out)]) == 0
     assert len(_read_rows(out / "cdf_min_se.csv")) == 2 * 2
+
+
+def test_unproved_lp_verdict_fails_its_setup(tmp_path, capsys, monkeypatch):
+    """An infeasible LP verdict whose Farkas row does not rule out its own
+    need, here a zero row planted on setup 1's first LP call, raises:
+    that setup becomes an error record, and the other setups' records
+    and rows are written as in a clean run."""
+    argv = ["optimize", "-c", str(CONFIGS / "small_demo.cfg"),
+            "--setups", "3"]
+    assert main(argv + ["-o", str(tmp_path / "clean")]) == 0
+    solve, lp_feasible, solves = cli.solve_maxmin, maxmin.lp_feasible, []
+
+    def count_solves(*args, **kwargs):
+        solves.append(None)
+        return solve(*args, **kwargs)
+
+    def plant_zero_row(lp, b):
+        if len(solves) != 2:
+            return lp_feasible(lp, b)
+        lp.farkas = np.zeros(len(b))
+        return None
+
+    monkeypatch.setattr(cli, "solve_maxmin", count_solves)
+    monkeypatch.setattr(maxmin, "lp_feasible", plant_zero_row)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(argv + ["-o", str(out)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: setup 1: RuntimeError: infeasible LP "
+                           "verdict at t = ")
+    clean = json.loads((tmp_path / "clean" / "manifest.json").read_text())
+    records = json.loads((out / "manifest.json").read_text())["records"]
+    assert records[0] == clean["records"][0]
+    assert records[2] == clean["records"][2]
+    assert records[1]["status"] == "error"
+    for name in ("se_per_ue.csv", "min_se_per_setup.csv"):
+        rows = _read_rows(tmp_path / "clean" / name)
+        assert _read_rows(out / name) == [r for r in rows
+                                          if r["setup_id"] != "1"]
