@@ -34,8 +34,8 @@ from .maxmin import fpc_baseline, solve_maxmin
 from .wit import lsfd_statistics, se_sums
 from .wpt import energy_sums, harvested_energy, harvested_energy_coefficients
 
-# Cap on L*N*K.  It bounds validate's time and its memory, which is one
-# batch's random numbers plus a few slice-sized arrays (channel.MC_SLICE).
+# Cap on L*N*K.  It bounds validate's time and its memory, which is a
+# few arrays of one batch (channel.MC_BATCH blocks).
 MAX_VALIDATE_SIZE = 1024
 
 
@@ -161,7 +161,9 @@ def run_validate(cfg, prop, mc_samples, seed, out=None):
         ok = ok and worst <= 3.0
         print(f"{name:<17s} max|z| = {worst:.3f}  over {z.size} entries",
               file=out)
-        at = np.unravel_index(np.argmax(z), z.shape)
+        # The first entry within rounding of the max: exact ties, such as
+        # C's conjugate pairs, then do not depend on the order of the sums.
+        at = np.unravel_index(np.argmax(z >= worst * (1.0 - 1e-9)), z.shape)
         print(f"    worst at [{', '.join(map(str, at))}]", file=out)
     print("validation " + ("PASSED" if ok else "FAILED")
           + " (threshold max|z| <= 3)", file=out)

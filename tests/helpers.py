@@ -163,19 +163,6 @@ def written_out_draws(stats, cfg, n, rng):
     return g, z[:, stats.pilot_of]
 
 
-def join_batches(slices):
-    """draw_estimates' slices of one array, (..., slice) each, joined
-    into batches of MC_BATCH blocks along the last axis (the last batch
-    may be shorter)."""
-    batches, done = [], 0
-    for x in slices:
-        if done % MC_BATCH == 0:
-            batches.append([])
-        batches[-1].append(x)
-        done += x.shape[-1]
-    return [np.concatenate(batch, axis=-1) for batch in batches]
-
-
 # The Monte Carlo contractions in batch-first einsum form, (batch, K, L, N)
 # with the draws on the leading axis.  The package draws and contracts
 # (K, L, N, batch); these are the references it is checked against.

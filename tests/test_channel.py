@@ -5,7 +5,6 @@ import pytest
 
 from cfwpt.channel import (
     MC_BATCH,
-    MC_SLICE,
     draw_estimates,
     mean_and_stderr,
     monte_carlo,
@@ -18,7 +17,6 @@ from cfwpt.wpt import energy_sums, harvested_energy_oracle
 
 from helpers import (
     einsum_lmmse_estimate,
-    join_batches,
     rebuilt_psi,
     synthetic_stats,
     written_out_draws,
@@ -96,16 +94,15 @@ def test_estimate_covariance_matches_rhat():
 
 
 def test_draw_estimates_batches_and_order():
-    """Batches of MC_BATCH blocks plus a short last one, handed out in
-    slices of MC_SLICE blocks.  Each batch is drawn as realization, then
-    pilot observation, then the LMMSE estimate: its joined slices are
-    exactly one batch-sized call of each."""
+    """Batches of MC_BATCH blocks plus a short last one, one yield each.
+    Each batch is drawn as realization, then pilot observation, then the
+    LMMSE estimate: exactly one batch-sized call of each."""
     cfg, stats = synthetic_stats(L=1, K=2, N=2, tau_p=1, seed=35)
-    slices = list(draw_estimates(stats, cfg, MC_BATCH + 700,
-                                 np.random.default_rng(9)))
-    assert [g.shape[-1] for g, _ in slices] == [MC_SLICE] * 4 + [700]
+    batches = list(draw_estimates(stats, cfg, 4 * MC_BATCH + 700,
+                                  np.random.default_rng(9)))
+    assert [g.shape[-1] for g, _ in batches] == [MC_BATCH] * 4 + [700]
     rng = np.random.default_rng(9)
-    for g, ghat in zip(*map(join_batches, zip(*slices))):
+    for g, ghat in batches:
         want = sample_realization(stats, rng, size=g.shape[-1])
         z = sample_pilot_observation(want, stats, cfg, rng)
         assert np.array_equal(g, want)
@@ -127,40 +124,36 @@ def test_draw_stream_matches_written_out_formula(size):
 
 
 def test_draw_estimates_stream_matches_written_out_formula():
-    """The slices of every batch of draw_estimates, the short last one
-    too, join to the written-out draws, and their estimates match the
-    batch-first einsum."""
+    """Every batch of draw_estimates, the short last one too, is the
+    written-out draws, and its estimates match the batch-first einsum."""
     cfg, stats = synthetic_stats(L=2, K=5, N=3, tau_p=2, seed=39)
-    slices = list(draw_estimates(stats, cfg, MC_BATCH + 700,
-                                 np.random.default_rng(14)))
-    assert [g.shape[-1] for g, _ in slices] == [MC_SLICE] * 4 + [700]
+    batches = list(draw_estimates(stats, cfg, 4 * MC_BATCH + 700,
+                                  np.random.default_rng(14)))
+    assert [g.shape[-1] for g, _ in batches] == [MC_BATCH] * 4 + [700]
     ref = np.random.default_rng(14)
-    sizes = []
-    for g, ghat in zip(*map(join_batches, zip(*slices))):
+    for g, ghat in batches:
         want_g, want_z = written_out_draws(stats, cfg, g.shape[-1], ref)
         assert np.array_equal(g, np.moveaxis(want_g, 0, -1))
         want_ghat = einsum_lmmse_estimate(want_z, stats, cfg)
         np.testing.assert_allclose(ghat, np.moveaxis(want_ghat, 0, -1),
                                    rtol=1e-12, atol=0)
-        sizes.append(g.shape[-1])
-    assert sizes == [MC_BATCH, 700]
 
 
 def test_monte_carlo_batch_memory():
-    """One batch of validate's pass, the energy and SE blocks together, at
-    validate_small's shape allocates at most 3.25 of the batch's
-    (K, L, N, MC_BATCH) complex draw arrays: the batch holds only its
-    random numbers, and the arrays built from them are slice-sized."""
+    """A 10 000-block pass of validate, the energy and SE blocks together,
+    at validate_small's shape peaks at most 1.5 times the bytes of one
+    (K, L, N, 10 000) complex array: the pass holds one batch at a time."""
     cfg, stats = synthetic_stats(L=2, K=4, N=2, tau_p=2, seed=41)
-    unit = np.dtype(complex).itemsize * stats.gbar.size * MC_BATCH
+    samples = 10_000
+    unit = np.dtype(complex).itemsize * stats.gbar.size * samples
     blocks = energy_sums(np.ones((4, 2)), cfg), se_sums(cfg)
     tracemalloc.start()
     try:
-        monte_carlo(stats, cfg, MC_BATCH, np.random.default_rng(16), *blocks)
+        monte_carlo(stats, cfg, samples, np.random.default_rng(16), *blocks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.25 * unit, peak / unit
+    assert peak <= 1.5 * unit, peak / unit
 
 
 def test_mean_and_stderr_total_variance():

@@ -12,7 +12,7 @@ import pytest
 import cfwpt
 
 from cfwpt import channel, cli, maxmin
-from cfwpt.channel import MC_BATCH, MC_SLICE, draw_estimates, mean_and_stderr
+from cfwpt.channel import MC_BATCH, draw_estimates, mean_and_stderr
 from cfwpt.cli import (
     MAX_VALIDATE_SIZE,
     _small_default_config,
@@ -27,7 +27,7 @@ from cfwpt.lp import SimplexIterationError
 from cfwpt.wit import lsfd_statistics, se_sums
 from cfwpt.wpt import harvested_energy, harvested_energy_oracle
 
-from helpers import join_batches, written_out_draws
+from helpers import written_out_draws
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -199,18 +199,28 @@ def _biased_b(factor, at=...):
     return biased
 
 
+def _quantity_lines(out):
+    """{name: (its max|z| line, its worst-at line)} of a validate stdout."""
+    lines = out.splitlines()
+    return {l.split()[0]: (l, lines[i + 1]) for i, l in enumerate(lines)
+            if " max|z| = " in l}
+
+
 def test_validate_detects_corrupted_decoding_statistic(capsys, monkeypatch):
-    """A closed-form b biased by 5% must fail the comparison, on b."""
+    """A closed-form b biased by 5% must fail the comparison, on b alone:
+    every other line is byte-identical to a clean run's."""
+    cfg, prop = _small_default_config(), PropagationModel()
+    run_validate(cfg, prop, mc_samples=50_000, seed=4)
+    clean = _quantity_lines(capsys.readouterr().out)
     monkeypatch.setattr("cfwpt.cli.lsfd_statistics", _biased_b(1.05))
-    cfg = _small_default_config()
-    code = run_validate(cfg, PropagationModel(), mc_samples=10_000, seed=4)
+    code = run_validate(cfg, prop, mc_samples=50_000, seed=4)
     out = capsys.readouterr().out
     assert code == 1
     assert "validation FAILED" in out
-    worst = {l.split()[0]: float(l.split()[3]) for l in out.splitlines()
-             if " max|z| = " in l}
-    assert worst["b"] > 3.0
-    assert max(worst["harvested_energy"], worst["C"], worst["D"]) <= 3.0
+    biased = _quantity_lines(out)
+    assert float(biased["b"][0].split()[3]) > 3.0
+    for name in ("harvested_energy", "C", "D"):
+        assert biased[name] == clean[name], name
 
 
 def _spy_z_scores(monkeypatch):
@@ -245,7 +255,8 @@ def test_validate_reports_where_the_worst_z_sits(capsys, monkeypatch):
     assert len(lines) == 9
     for i, name in enumerate(("harvested_energy", "b", "C", "D")):
         z = calls[i][3]
-        at = np.unravel_index(np.argmax(z), z.shape)
+        at = np.unravel_index(np.flatnonzero(z >= (1 - 1e-9) * z.max())[0],
+                              z.shape)
         assert lines[2 * i].startswith(name + " ")
         assert lines[2 * i + 1] == f"    worst at [{', '.join(map(str, at))}]"
         assert " max|z| = " not in lines[2 * i + 1]
@@ -288,31 +299,50 @@ def test_validate_decoding_statistics_replay_one_stream(capsys, monkeypatch):
     assert len(calls) == 4
 
 
+@pytest.mark.parametrize("gap, first", [(1e-12, True), (1e-6, False)])
+def test_validate_worst_at_names_the_first_near_tie(gap, first, capsys,
+                                                    monkeypatch):
+    """Entries within a relative 1e-9 of the max count as tied: the
+    worst-at line names the first of them, and an entry 1e-6 above the
+    rest alone.  The max|z| line prints the max itself."""
+    def z_scores(closed, mean, stderr):
+        z = np.zeros(np.shape(closed))
+        z.flat[1] = 2.0
+        z.flat[-1] = 2.0 * (1.0 + gap)
+        return z
+    monkeypatch.setattr(cli, "_z_scores", z_scores)
+    run_validate(_small_default_config(), PropagationModel(), mc_samples=2,
+                 seed=4)
+    lines = capsys.readouterr().out.splitlines()
+    for i, shape in enumerate([(4,), (4, 2), (4, 4, 2, 2), (4, 2)]):
+        at = np.unravel_index(1 if first else np.prod(shape) - 1, shape)
+        assert " max|z| = 2.000 " in lines[2 * i]
+        assert lines[2 * i + 1] == f"    worst at [{', '.join(map(str, at))}]"
+
+
 def test_validate_draws_each_block_once(capsys, monkeypatch):
     """One pass: validate asks the channel for mc_samples realizations in
-    all, not one stream per oracle.  Its slices join, batch by batch, to
-    the written-out draws of its generator, each batch followed by that
-    batch's energy symbols as one (n, K, L) draw."""
+    all, not one stream per oracle.  Each of its batches is the
+    written-out draws of its generator, followed by that batch's energy
+    symbols as one (n, K, L) draw."""
     cfg, prop = _small_default_config(), PropagationModel()
-    calls, slices = [], []
+    calls, batches = [], []
     draw = channel.draw_estimates
 
     def spy(stats, cfg, mc_samples, rng):
         calls.append(mc_samples)
         for g, ghat in draw(stats, cfg, mc_samples, rng):
-            slices.append(g)
+            batches.append(g)
             yield g, ghat
     monkeypatch.setattr(channel, "draw_estimates", spy)
-    run_validate(cfg, prop, mc_samples=MC_BATCH + 700, seed=4)
-    assert calls == [MC_BATCH + 700]
-    assert [g.shape[-1] for g in slices] == [MC_SLICE] * 4 + [700]
+    run_validate(cfg, prop, mc_samples=4 * MC_BATCH + 700, seed=4)
+    assert calls == [4 * MC_BATCH + 700]
+    assert [g.shape[-1] for g in batches] == [MC_BATCH] * 4 + [700]
     stats, _, rng = _validate_drop(cfg, prop, 4)
-    batches = join_batches(slices)
     for g in batches:
         want, _ = written_out_draws(stats, cfg, g.shape[-1], rng)
         rng.uniform(size=(g.shape[-1], cfg.K, cfg.L))   # energy symbols
         assert np.array_equal(g, np.moveaxis(want, 0, -1))
-    assert [g.shape[-1] for g in batches] == [MC_BATCH, 700]
 
 
 def test_validate_draws_optimize_setup_0(tmp_path, capsys, monkeypatch):

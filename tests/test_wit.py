@@ -4,7 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from cfwpt.channel import MC_BATCH, MC_SLICE, draw_estimates, mean_and_stderr
+from cfwpt.channel import MC_BATCH, draw_estimates, mean_and_stderr
 from cfwpt.estimation import build_cache
 from cfwpt.wit import (SEStatistics, lsfd_statistics, se_statistics_oracle,
                        se_sums, sinr, sinr_terms, spectral_efficiency)
@@ -14,7 +14,6 @@ from helpers import (
     dense_covariance,
     dense_psi_inv_r,
     einsum_se_oracle,
-    join_batches,
     synthetic_stats,
     written_out_draws,
 )
@@ -211,37 +210,36 @@ def _broadcast_se_sums(cfg, g, ghat_c):
 
 def test_se_sums_bitwise_equal_to_broadcast_block():
     """The per-UE rows give exactly the broadcast block's sums on every
-    slice, with pilot sharing, K > N and a short last batch; the slices
-    join to the written-out draws."""
+    batch, with pilot sharing, K > N and a short last batch; each batch
+    is the written-out draws."""
     cfg, stats, cache, se = _instance(seed=64, L=2, K=5, N=3)
     block = se_sums(cfg)
-    slices = []
-    for g, ghat in draw_estimates(stats, cfg, MC_BATCH + 700,
+    ref = np.random.default_rng(10)
+    sizes = []
+    for g, ghat in draw_estimates(stats, cfg, 4 * MC_BATCH + 700,
                                   np.random.default_rng(10)):
         ghat_c = ghat.conj()
-        slices.append(g)
+        sizes.append(g.shape[-1])
         for got, want in zip(block(g, ghat_c, None),
                              _broadcast_se_sums(cfg, g, ghat_c)):
-            for mine, ref in zip(got, want):
-                assert mine.dtype == ref.dtype
-                assert np.array_equal(mine, ref)
-    assert [g.shape[-1] for g in slices] == [MC_SLICE] * 4 + [700]
-    ref = np.random.default_rng(10)
-    for g in join_batches(slices):
-        want, _ = written_out_draws(stats, cfg, g.shape[-1], ref)
-        assert np.array_equal(g, np.moveaxis(want, 0, -1))
+            for mine, ref_sum in zip(got, want):
+                assert mine.dtype == ref_sum.dtype
+                assert np.array_equal(mine, ref_sum)
+        want_g, _ = written_out_draws(stats, cfg, g.shape[-1], ref)
+        assert np.array_equal(g, np.moveaxis(want_g, 0, -1))
+    assert sizes == [MC_BATCH] * 4 + [700]
 
 
 def test_se_sums_memory_independent_of_ue_pairs():
-    """One block allocates less than 3 slice-sized draw arrays at K = 12,
-    N = 2: no (K, K, L, slice) array, which alone would be K / N = 6 of
-    them.  The slice holds the batch's first MC_SLICE written-out draws."""
+    """One block allocates less than 3 batch-sized draw arrays at K = 12,
+    N = 2: no (K, K, L, batch) array, which alone would be K / N = 6 of
+    them.  The batch is the first MC_BATCH written-out draws."""
     cfg, stats = synthetic_stats(L=2, K=12, N=2, tau_p=4, seed=65)
-    g, ghat = next(draw_estimates(stats, cfg, MC_BATCH,
+    g, ghat = next(draw_estimates(stats, cfg, 4 * MC_BATCH,
                                   np.random.default_rng(11)))
     want, _ = written_out_draws(stats, cfg, MC_BATCH, np.random.default_rng(11))
-    assert g.shape[-1] == MC_SLICE
-    assert np.array_equal(g, np.moveaxis(want[:MC_SLICE], 0, -1))
+    assert g.shape[-1] == MC_BATCH
+    assert np.array_equal(g, np.moveaxis(want, 0, -1))
     ghat_c = ghat.conj()
     block = se_sums(cfg)
     tracemalloc.start()
